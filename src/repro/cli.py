@@ -53,6 +53,7 @@ from repro.harness.sweep import (
     PARTICIPATIONS,
     ExperimentSpec,
     ResultStore,
+    pending_cells,
     run_sweep,
 )
 
@@ -174,7 +175,8 @@ def _print_fleet_counters(counters: dict) -> None:
         f"{counters['leases_expired']} expired, "
         f"{counters['cells_redispatched']} cells re-dispatched, "
         f"{counters['duplicates_discarded']} duplicates discarded, "
-        f"{counters.get('leases_affinity_matched', 0)} affinity-matched"
+        f"{counters['leases_affinity_matched']} affinity-matched, "
+        f"{counters['connections_dropped']} connections dropped"
     )
 
 
@@ -255,11 +257,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         executor.retries_attempted
         or executor.cells_quarantined
         or executor.workers_respawned
+        or executor.pipe_close_errors
     ):
         print(
             f"  resilience: {executor.retries_attempted} retries, "
             f"{executor.cells_quarantined} cells quarantined, "
-            f"{executor.workers_respawned} workers respawned"
+            f"{executor.workers_respawned} workers respawned, "
+            f"{executor.pipe_close_errors} pipe close errors"
         )
     return _sweep_epilogue(outcome, args)
 
@@ -770,10 +774,7 @@ def _cmd_fleet_coordinate(args: argparse.Namespace) -> int:
 
     spec = _spec_from_args(args)
     store = ResultStore(args.out)
-    recovered = store.recover()
-    cells = spec.expand()
-    done = store.completed_ids()
-    todo = [cell for cell in cells if cell.cell_id not in done]
+    cells, todo, recovered = pending_cells(spec, store)
     print(
         f"sweep '{spec.name}': {len(cells)} cells, {len(todo)} to run, "
         f"{len(cells) - len(todo)} resumed-skip"
@@ -830,13 +831,11 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         runner_id=args.runner_id,
-        workers=args.workers,
         max_cells=args.max_cells,
         snapshot_dir=args.snapshot_dir,
         warmup_views=args.warmup_views,
     )
-    print(f"runner {runner.runner_id} -> {args.host}:{args.port} "
-          f"(workers={args.workers or 'in-process'})", flush=True)
+    print(f"runner {runner.runner_id} -> {args.host}:{args.port}", flush=True)
     try:
         stats = runner.run()
     except (RunnerError, OSError) as exc:
@@ -853,40 +852,41 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
 def _cmd_fleet_local(args: argparse.Namespace) -> int:
     """Coordinator + N runner processes on localhost, one command."""
 
-    from repro.fleet.local import FleetError
+    from repro.fleet.local import FleetError, run_fleet_local
 
     spec = _spec_from_args(args)
     store = ResultStore(args.out)
-    try:
-        outcome = run_sweep(
-            spec,
-            store=store,
-            workers=args.runners,
-            progress=None if args.quiet else _progress_line,
-            trace_mode=args.trace,
-            backend="fleet",
-            fleet_options={
-                "workers_per_runner": args.workers_per_runner,
-                "lease_ttl": args.lease_ttl,
-                "batch_size": args.batch,
-                "timeout": args.timeout,
-            },
-            snapshot_dir=args.snapshot_dir,
-            warmup_views=args.warmup_views,
-        )
-    except FleetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    recovered = (
-        f", {outcome.recovered} corrupt lines quarantined" if outcome.recovered else ""
+    cells, todo, recovered = pending_cells(spec, store)
+    on_commit = None if args.quiet else (
+        lambda line: _progress_line(json.loads(line))
     )
+    counters = None
+    if todo:
+        try:
+            counters = run_fleet_local(
+                todo,
+                store=store,
+                runners=args.runners,
+                lease_ttl=args.lease_ttl,
+                batch_size=args.batch,
+                trace_mode=args.trace,
+                on_commit=on_commit,
+                timeout=args.timeout,
+                snapshot_dir=args.snapshot_dir,
+                warmup_views=args.warmup_views,
+            ).counters
+        except FleetError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     print(
-        f"fleet sweep '{spec.name}': {outcome.total_cells} cells, "
-        f"{outcome.executed} executed on {args.runners} runners, "
-        f"{outcome.skipped} resumed-skip{recovered}"
+        f"fleet sweep '{spec.name}': {len(cells)} cells, "
+        f"{len(todo)} executed on {args.runners} runners, "
+        f"{len(cells) - len(todo)} resumed-skip"
+        + (f", {recovered} corrupt lines quarantined" if recovered else "")
     )
-    if outcome.fleet:
-        _print_fleet_counters(outcome.fleet)
+    if counters:
+        _print_fleet_counters(counters)
+    outcome = run_sweep(spec, store=store)  # everything recorded: no execution
     return _sweep_epilogue(outcome, args)
 
 
@@ -1339,9 +1339,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="coordinator port")
     fleet_run.add_argument("--runner-id", default="",
                            help="stable runner identity (default: generated)")
-    fleet_run.add_argument("--workers", type=int, default=0,
-                           help="worker processes inside this runner "
-                           "(0 = execute cells in-process)")
     fleet_run.add_argument("--max-cells", type=int, default=0,
                            help="cells per lease request (0 = coordinator's "
                            "advertised batch)")
@@ -1362,9 +1359,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_output_args(local)
     local.add_argument("--runners", type=int, default=2,
                        help="runner processes to spawn")
-    local.add_argument("--workers-per-runner", type=int, default=0,
-                       help="worker processes inside each runner "
-                       "(0 = in-process execution)")
     local.add_argument("--lease-ttl", type=float, default=5.0,
                        help="seconds a silent runner holds its cells")
     local.add_argument("--batch", type=int, default=8,

@@ -10,7 +10,7 @@ about, and every runner message doubles as a liveness heartbeat
 (renewing its leases).
 
 Message vocabulary (all frames are JSON objects, see
-:mod:`repro.fleet.wire`):
+:mod:`repro.net.framing`):
 
 ==============  ======================================  =========================
 runner sends    fields                                  coordinator replies
@@ -27,7 +27,7 @@ runner sends    fields                                  coordinator replies
 ==============  ======================================  =========================
 
 Safety lives in two independent layers: the
-:class:`~repro.fleet.lease.LeaseTable` commits each cell at most once
+:class:`~repro.harness.lease.LeaseTable` commits each cell at most once
 (first-write-wins over any interleaving of grants, expiries, deaths and
 late deliveries), and the :class:`~repro.harness.sweep.ResultStore`
 dedups on ``cell_id`` again at append time — so even a second
@@ -43,11 +43,11 @@ import json
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from repro.fleet.lease import LeaseTable
-from repro.fleet.wire import FrameConnection, WireError
+from repro.harness.lease import LeaseTable
 from repro.harness.sweep import ResultStore
+from repro.net.framing import FrameConnection, WireError
 
 #: Default seconds a drained runner is told to sleep before re-polling.
 DEFAULT_RETRY_AFTER = 0.05
@@ -125,6 +125,7 @@ class FleetCoordinator:
         self._conns: list[FrameConnection] = []
         self._steady_started: float | None = None
         self._finished_at: float | None = None
+        self._connections_dropped = 0
         if self.table.all_committed:  # empty sweep: born finished
             self._done.set()
 
@@ -207,20 +208,17 @@ class FleetCoordinator:
         """Lease/registration/re-dispatch totals for the sweep summary."""
 
         with self._lock:
-            counts = self.table.counters.to_dict()
+            counts = asdict(self.table.counters)
             counts["cells_total"] = len(self.table.items)
             counts["cells_committed"] = self.table.committed_count
+            counts["connections_dropped"] = self._connections_dropped
         return counts
 
     def leases_held_by(self, runner_id: str) -> int:
         """How many cells ``runner_id`` currently holds (thread-safe)."""
 
         with self._lock:
-            return sum(
-                1
-                for lease in self.table._leases.values()
-                if lease.runner_id == runner_id
-            )
+            return len(self.table.leases_of(runner_id))
 
     @property
     def committed_count(self) -> int:
@@ -275,7 +273,9 @@ class FleetCoordinator:
                 runner_id = message.get("runner", runner_id)
                 conn.send(reply)
         except WireError:
-            pass  # dropped peer: fall through to the death path
+            # Dropped peer: counted, then the death path below.
+            with self._lock:
+                self._connections_dropped += 1
         finally:
             conn.close()
             if runner_id is not None and not self._done.is_set():

@@ -1,7 +1,6 @@
 """Single-command fleet driver: coordinator in-process, runners spawned.
 
-``run_fleet_local`` is the glue behind ``repro fleet local`` and
-``run_sweep(backend="fleet")``: it hosts a
+``run_fleet_local`` is the glue behind ``repro fleet local``: it hosts a
 :class:`~repro.fleet.coordinator.FleetCoordinator` on a localhost socket
 with an OS-assigned port, spawns ``runners`` runner *processes* (real
 OS processes — they can be SIGKILLed, which is the whole point of the
@@ -41,9 +40,7 @@ class FleetSummary:
 
     cells_total: int
     cells_committed: int
-    runners: int
     counters: dict = field(default_factory=dict)
-    runner_exitcodes: list = field(default_factory=list)
     elapsed_steady: float | None = None
 
     @property
@@ -55,7 +52,6 @@ def _runner_proc_main(
     host: str,
     port: int,
     runner_id: str,
-    workers: int,
     snapshot_dir: str | None = None,
     warmup_views: int | None = None,
 ) -> None:
@@ -67,7 +63,6 @@ def _runner_proc_main(
         host=host,
         port=port,
         runner_id=runner_id,
-        workers=workers,
         snapshot_dir=snapshot_dir,
         warmup_views=warmup_views,
     ).run()
@@ -77,23 +72,19 @@ def run_fleet_local(
     cells,
     store: ResultStore | None = None,
     runners: int = 2,
-    workers_per_runner: int = 0,
     lease_ttl: float = 5.0,
     batch_size: int = 8,
     trace_mode: str = "bounded",
     on_commit=None,
     timeout: float | None = None,
-    start_barrier: bool = True,
     snapshot_dir: str | None = None,
     warmup_views: int | None = None,
 ) -> FleetSummary:
     """Run ``cells`` to completion on a localhost fleet.
 
-    ``cells`` must already be filtered for resume (the caller skips
-    completed ids, exactly as ``run_sweep`` does for every backend).
-    ``runners`` is the number of runner processes; ``workers_per_runner``
-    gives each of them its own ``SweepExecutor`` pool (0 = in-process
-    execution inside the runner).  Committed lines land in ``store``
+    ``cells`` must already be filtered for resume (see
+    :func:`repro.harness.sweep.pending_cells`).  ``runners`` is the
+    number of runner processes.  Committed lines land in ``store``
     (first-write-wins) and feed ``on_commit`` as they arrive.
 
     ``snapshot_dir`` gives every runner the same local snapshot store
@@ -112,19 +103,18 @@ def run_fleet_local(
         lease_ttl=lease_ttl,
         batch_size=batch_size,
         trace_mode=trace_mode,
-        hold_until_runners=runners if start_barrier else 0,
+        hold_until_runners=runners,
     )
     coordinator = FleetCoordinator(
         cells, store=store, config=config, on_commit=on_commit
     )
     host, port = coordinator.start()
-    ctx = multiprocessing.get_context(_resolved_start_method("spawn"))
+    ctx = multiprocessing.get_context(_resolved_start_method())
     procs = [
         ctx.Process(
             target=_runner_proc_main,
             args=(
-                host, port, f"local-runner-{index}", workers_per_runner,
-                snapshot_dir, warmup_views,
+                host, port, f"local-runner-{index}", snapshot_dir, warmup_views,
             ),
             daemon=True,
         )
@@ -161,8 +151,6 @@ def run_fleet_local(
     return FleetSummary(
         cells_total=len(cells),
         cells_committed=counters["cells_committed"],
-        runners=runners,
         counters=counters,
-        runner_exitcodes=[proc.exitcode for proc in procs],
         elapsed_steady=coordinator.elapsed_steady,
     )

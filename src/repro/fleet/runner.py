@@ -1,14 +1,11 @@
 """The fleet runner: lease cells, execute them, stream results back.
 
 A runner is a thin client around the machinery PRs 2-6 already built:
-cells rebuild from their dict form, execute through
-:func:`~repro.harness.sweep.run_cell` (in-process, sharing the
-per-process :mod:`~repro.harness.prebuild` cache across every leased
-batch) or through a local :class:`~repro.harness.executor.SweepExecutor`
-pool (``workers >= 1``: one runner *host* fanning out to its own
-supervised worker processes — the two-level tree a real multi-host
-deployment uses), and results are already canonical JSONL lines, so the
-runner ships them verbatim.
+leased cell dicts execute in-process through
+:func:`~repro.harness.sweep.run_cell_batch` (sharing the per-process
+:mod:`~repro.harness.prebuild` cache across every leased batch), and its
+results are already canonical JSONL lines, so the runner ships them
+verbatim.
 
 The loop is a straight poll cycle: ``lease`` → execute → ``result`` per
 line (each reply acked, so the runner knows whether its line committed
@@ -27,7 +24,9 @@ import socket
 import time
 from dataclasses import dataclass, field
 
-from repro.fleet.wire import FrameConnection, TruncatedStreamError, WireError
+from repro.harness.sweep import run_cell_batch
+from repro.net.framing import FrameConnection, TruncatedStreamError, WireError
+from repro.snapshot import SnapshotStore
 
 
 class RunnerError(RuntimeError):
@@ -46,33 +45,19 @@ class RunnerStats:
     rejected: int = 0
     waits: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "runner_id": self.runner_id,
-            "batches_leased": self.batches_leased,
-            "cells_executed": self.cells_executed,
-            "results_committed": self.results_committed,
-            "duplicates": self.duplicates,
-            "rejected": self.rejected,
-            "waits": self.waits,
-        }
-
 
 @dataclass
 class FleetRunner:
     """One runner process's client logic.
 
-    ``workers=0`` executes leased cells in-process (prebuild caches warm
-    across batches — the common CI/localhost shape); ``workers >= 1``
-    runs them on an owned :class:`~repro.harness.executor.SweepExecutor`
-    pool, giving each runner host its own self-healing process tree.
-    ``max_cells`` overrides the coordinator's advertised batch size.
+    Leased cells execute in-process, so prebuild caches stay warm across
+    batches.  ``max_cells`` overrides the coordinator's advertised batch
+    size.
     """
 
     host: str
     port: int
     runner_id: str = ""
-    workers: int = 0
     max_cells: int = 0
     connect_timeout: float = 10.0
     snapshot_dir: str | None = None
@@ -80,8 +65,6 @@ class FleetRunner:
     stats: RunnerStats = field(default_factory=RunnerStats)
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = in-process)")
         if not self.runner_id:
             # Unique per process, never simulation-visible: runner ids
             # label leases and log lines, nothing derives results from
@@ -100,7 +83,6 @@ class FleetRunner:
         sock.settimeout(None)  # blocking from here on; frames are small
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = FrameConnection(sock)
-        executor = None
         try:
             register: dict = {"type": "register", "runner": self.runner_id}
             if self.snapshot_dir is not None:
@@ -108,20 +90,12 @@ class FleetRunner:
                 # coordinator can lease cells whose warm-up this host
                 # already holds (one field in an existing message — no
                 # extra protocol round-trips).
-                from repro.harness.sweep import process_snapshot_store
-
-                register["snapshots"] = process_snapshot_store(
-                    self.snapshot_dir
-                ).ids()
+                register["snapshots"] = SnapshotStore(self.snapshot_dir).ids()
             welcome = self._exchange(conn, register)
             if welcome.get("type") != "welcome":
                 raise RunnerError(f"expected welcome, got {welcome!r}")
             trace_mode = welcome.get("trace_mode", "bounded")
             batch = self.max_cells or int(welcome.get("batch", 8))
-            if self.workers >= 1:
-                from repro.harness.executor import SweepExecutor
-
-                executor = SweepExecutor(workers=self.workers)
             while True:
                 reply = self._exchange(
                     conn,
@@ -141,7 +115,9 @@ class FleetRunner:
                 if kind != "cells":
                     raise RunnerError(f"unexpected lease reply {reply!r}")
                 self.stats.batches_leased += 1
-                for line in self._execute(reply["cells"], trace_mode, executor):
+                for line in run_cell_batch(
+                    reply["cells"], trace_mode, self.snapshot_dir, self.warmup_views
+                ):
                     self.stats.cells_executed += 1
                     ack = self._exchange(
                         conn,
@@ -164,8 +140,6 @@ class FleetRunner:
             except WireError:
                 pass  # the coordinator may already be gone; we are done
         finally:
-            if executor is not None:
-                executor.close()
             conn.close()
         return self.stats
 
@@ -182,33 +156,3 @@ class FleetRunner:
         if reply.get("type") == "error":
             raise RunnerError(f"coordinator rejected message: {reply.get('error')}")
         return reply
-
-    def _execute(self, cell_dicts: list[dict], trace_mode: str, executor):
-        """Yield canonical result lines for one leased batch."""
-
-        from repro.harness.sweep import (
-            Cell,
-            canonical_record,
-            process_snapshot_store,
-            run_cell,
-        )
-
-        cells = [Cell.from_dict(data) for data in cell_dicts]
-        if executor is not None:
-            yield from executor.map_cells(
-                cells,
-                trace_mode,
-                snapshot_dir=self.snapshot_dir,
-                warmup_views=self.warmup_views,
-            )
-        else:
-            snapshot_store = process_snapshot_store(self.snapshot_dir)
-            for cell in cells:
-                yield canonical_record(
-                    run_cell(
-                        cell,
-                        trace_mode,
-                        snapshot_store=snapshot_store,
-                        warmup_views=self.warmup_views,
-                    )
-                )

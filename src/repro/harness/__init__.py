@@ -6,6 +6,9 @@ parallel sweep engine behind ``python -m repro sweep``.
 * :mod:`repro.harness.runner` — the Table-1 measurement runners;
 * :mod:`repro.harness.sweep` — declarative grids, cell execution, and
   the append-only JSONL result store;
+* :mod:`repro.harness.lease` — the one sweep scheduler: the lease
+  state machine (grant, expiry, retry cap and backoff, first-write-wins
+  commit) driven by the local pool and by the fleet coordinator;
 * :mod:`repro.harness.executor` — the persistent, warm sweep worker
   pool with chunked dispatch;
 * :mod:`repro.harness.prebuild` — per-process caches of immutable cell

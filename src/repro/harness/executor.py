@@ -28,19 +28,20 @@ hostile world:
 * **Self-healing supervision.**  Each worker is an explicit ``Process``
   with a duplex ``Pipe`` (``multiprocessing.Pool`` hangs forever when a
   worker is SIGKILLed mid-task — its result simply never arrives).  The
-  parent detects worker death and per-chunk timeouts, respawns the
-  worker, and retries the affected cells with deterministic exponential
-  backoff + jitter derived from the cell hash
-  (:func:`repro.faults.retry_backoff`).  A cell that exhausts its
-  retries becomes a canonical ``status: "failed"`` quarantine record
-  instead of killing the sweep.  A worker that dies during start-up
-  raises :class:`WorkerPoolError` carrying its exit code — never a
-  silent hang.
+  parent is a pipe event loop around one
+  :class:`repro.harness.lease.LeaseTable`, the scheduler it shares with
+  the fleet coordinator: the loop only reports events (worker idle,
+  result arrived, worker died, deadline passed) and the table decides
+  who runs what, whether a cell is retried, after what deterministic
+  backoff, and which result commits.  A cell that exhausts its retries
+  becomes a canonical ``status: "failed"`` quarantine record instead of
+  killing the sweep.  A worker that dies during start-up raises
+  :class:`WorkerPoolError` carrying its exit code — never a silent hang.
 * **Chaos mode.**  A :class:`repro.faults.ChaosPlan` SIGKILLs workers
-  immediately before selected cells — on the first attempt only, so a
-  sweep with ``retries >= 1`` always converges to the byte-identical
-  record set of a fault-free run (successful records are pure functions
-  of their cells; attempts leave no trace on them).
+  handed selected cells — on the first attempt only, so a sweep with
+  ``retries >= 1`` always converges to the byte-identical record set of
+  a fault-free run (successful records are pure functions of their
+  cells; attempts leave no trace on them).
 
 Determinism is unaffected by any of this: cells derive all randomness
 from their own coordinates, workers share no mutable state, and the
@@ -53,17 +54,29 @@ sorted records.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import signal
 import sys
 import time
-from collections import deque
 from multiprocessing import connection
 
-from repro.faults import ChaosPlan, retry_backoff
+from repro.faults import ChaosPlan
+from repro.harness.lease import LeaseTable
+from repro.harness.sweep import (
+    Cell,
+    add_cache_counters,
+    canonical_record,
+    empty_cache_counters,
+    quarantine_record,
+    run_cell_batch,
+)
 
 _READY = "__worker_ready__"
+
+#: Seconds :meth:`SweepExecutor.warmup` waits for the ready handshakes.
+_WARMUP_TIMEOUT = 60.0
 
 #: Consecutive init-phase worker deaths tolerated before the supervisor
 #: concludes workers cannot start at all and raises WorkerPoolError.
@@ -87,8 +100,8 @@ class WorkerPoolError(RuntimeError):
     """A sweep worker died outside any cell (start-up / initialization)."""
 
 
-def _resolved_start_method(preferred: str) -> str:
-    """``preferred``, downgraded to ``fork`` when ``spawn`` cannot work.
+def _resolved_start_method() -> str:
+    """``spawn``, downgraded to ``fork`` when ``spawn`` cannot work.
 
     ``spawn`` re-imports ``__main__`` from its file path inside every
     worker.  When the parent's ``__main__`` is not a real importable
@@ -99,81 +112,49 @@ def _resolved_start_method(preferred: str) -> str:
     ``python -m repro`` and pytest all keep ``spawn``.
     """
 
-    if preferred != "spawn":
-        return preferred
     main_file = getattr(sys.modules.get("__main__"), "__file__", None)
     if main_file is not None and not os.path.exists(main_file):
         if "fork" in multiprocessing.get_all_start_methods():
             return "fork"
-    return preferred
+    return "spawn"
 
 
 def _worker_init() -> None:
-    """Pre-import the protocol stack inside a fresh worker process.
+    """Finish warming a fresh worker process before it reports ready.
 
-    Everything a cell can touch: the real protocol, the structural
-    baselines, attackers, scenario builders, streaming analysis.  Also
-    primes the genesis log so the first cell starts from a warm chain
-    root.  Under ``spawn`` this is the difference between the first
-    dispatched cell costing ~an import of the whole package and costing
-    ~a cell.
+    Importing this module (the spawn target) already loaded the sweep
+    engine and with it the protocol, the structural baselines, attackers
+    and scenario builders; what is left of "everything a cell can touch"
+    is the lazily imported streaming analysis and the genesis log.  Under
+    ``spawn`` this is the difference between the first dispatched cell
+    costing ~an import of the whole package and costing ~a cell.
     """
 
-    import repro.adversary.tob_attackers  # noqa: F401
     import repro.analysis.streaming  # noqa: F401
-    import repro.baselines.structural_tob  # noqa: F401
-    import repro.core.tobsvd  # noqa: F401
-    import repro.harness.scenarios  # noqa: F401
-    import repro.harness.sweep  # noqa: F401
     from repro.chain.log import Log
 
     Log.genesis()
-
-
-def _run_cell_to_line(payload: tuple[dict, str], snapshot_store=None, warmup_views=None) -> str:
-    """Worker entry point: execute one cell, return its canonical line.
-
-    Serializing in the worker (a) moves the JSON encode off the parent's
-    critical path and (b) guarantees the parent appends exactly the
-    canonical bytes — there is a single serialization per record,
-    produced by the same :func:`repro.harness.sweep.canonical_record`
-    the serial path uses.
-    """
-
-    from repro.harness.sweep import Cell, canonical_record, run_cell
-
-    cell_data, trace_mode = payload
-    return canonical_record(
-        run_cell(
-            Cell.from_dict(cell_data),
-            trace_mode,
-            snapshot_store=snapshot_store,
-            warmup_views=warmup_views,
-        )
-    )
 
 
 def _pool_worker_main(conn) -> None:
     """Worker process main loop: init, handshake, serve chunk tasks.
 
     Protocol (all over the duplex pipe): the worker sends ``_READY``
-    once initialized, then for each received ``(task_id, options,
-    items)`` — where ``options`` is a dict carrying ``trace_mode`` plus
-    the snapshot-tier settings, and ``items`` is a list of
-    ``(cell_dict, attempt, kill)`` triples — it executes the cells in
-    order and replies ``(task_id, lines, stats)``, where ``stats``
-    carries the chunk's prebuild/snapshot cache-counter deltas.  A
-    ``kill`` item SIGKILLs the process before executing that cell
-    (chaos mode: the parent decides, the worker obeys, determinism
-    lives with the :class:`~repro.faults.ChaosPlan`).  ``None`` or a
-    closed pipe shuts the worker down.
+    once initialized, then for each received ``(options, items)`` —
+    ``options`` being the keyword settings of
+    :func:`repro.harness.sweep.run_cell_batch` and ``items`` a list of
+    ``(cell_id, cell_dict, attempt, kill)`` — it executes the cells in
+    order and replies ``(cell_ids, lines, stats)`` in one message, where
+    ``stats`` carries the chunk's prebuild/snapshot counter deltas.  The
+    reply names its cells, so the parent needs no in-flight bookkeeping
+    and a reply to a dispatch it has abandoned is just a late result.
 
-    The worker-side :class:`~repro.snapshot.SnapshotStore` is cached
-    per ``snapshot_dir`` for the life of the process
-    (:func:`repro.harness.sweep.process_snapshot_store`), and the store
-    directory is shared by every worker — a prefix warmed by one
-    process is a disk hit for all others (atomic first-rename-wins
-    puts), which is the cross-process reuse the snapshot tier is for.
+    A chunk's lines ship together, so a death anywhere in it loses all
+    of it; the chaos and hang hooks therefore fire before the chunk
+    starts.  A ``kill`` item SIGKILLs the process (chaos mode: the
+    parent decides, the worker obeys, determinism lives with the
+    :class:`~repro.faults.ChaosPlan`).  ``None`` or a closed pipe shuts
+    the worker down.
     """
 
     die = os.environ.get(_DIE_ON_INIT_ENV)
@@ -193,48 +174,18 @@ def _pool_worker_main(conn) -> None:
             return
         if task is None:
             return
-        from repro.harness.prebuild import PREBUILD
-        from repro.harness.sweep import process_snapshot_store
-        from repro.snapshot import SnapshotStore
-
-        task_id, options, items = task
-        trace_mode = options["trace_mode"]
-        snapshot_store = process_snapshot_store(options.get("snapshot_dir"))
-        warmup_views = options.get("warmup_views")
-        prebuild_before = (PREBUILD.hits, PREBUILD.misses)
-        snap_before = (
-            snapshot_store.stats() if snapshot_store is not None else None
-        )
-        lines = []
-        for cell_data, attempt, kill in items:
+        options, items = task
+        for cell_id, _, attempt, kill in items:
             if kill:
                 os.kill(os.getpid(), signal.SIGKILL)
-            if hang_cell is not None and attempt < hang_attempts:
-                from repro.harness.sweep import Cell
-
-                if Cell.from_dict(cell_data).cell_id == hang_cell:
-                    time.sleep(3600)
-            lines.append(
-                _run_cell_to_line(
-                    (cell_data, trace_mode),
-                    snapshot_store=snapshot_store,
-                    warmup_views=warmup_views,
-                )
-            )
-        if snapshot_store is not None:
-            after = snapshot_store.stats()
-            snap_delta = {key: after[key] - snap_before[key] for key in after}
-        else:
-            snap_delta = SnapshotStore.empty_stats()
-        stats = {
-            "prebuild": {
-                "hits": PREBUILD.hits - prebuild_before[0],
-                "misses": PREBUILD.misses - prebuild_before[1],
-            },
-            "snapshot": snap_delta,
-        }
+            if cell_id == hang_cell and attempt < hang_attempts:
+                time.sleep(3600)
+        stats = empty_cache_counters()
+        lines = list(
+            run_cell_batch([item[1] for item in items], cache=stats, **options)
+        )
         try:
-            conn.send((task_id, lines, stats))
+            conn.send(([item[0] for item in items], lines, stats))
         except (BrokenPipeError, OSError):
             return
 
@@ -255,35 +206,12 @@ def adaptive_chunksize(todo: int, workers: int) -> int:
 class _Worker:
     """Parent-side handle for one supervised worker process."""
 
-    __slots__ = ("proc", "conn", "ready", "task", "deadline")
+    __slots__ = ("proc", "conn", "ready")
 
     def __init__(self, proc, conn) -> None:
         self.proc = proc
         self.conn = conn
         self.ready = False
-        self.task = None
-        self.deadline = None
-
-
-class _CellTask:
-    """Mutable retry state for one cell within one dispatch."""
-
-    __slots__ = ("cell", "attempts", "not_before")
-
-    def __init__(self, cell) -> None:
-        self.cell = cell
-        self.attempts = 0
-        self.not_before = 0.0
-
-
-class _Chunk:
-    """One in-flight dispatch: a task id plus the cell states it carries."""
-
-    __slots__ = ("task_id", "states")
-
-    def __init__(self, task_id: int, states: list) -> None:
-        self.task_id = task_id
-        self.states = states
 
 
 class SweepExecutor:
@@ -307,19 +235,17 @@ class SweepExecutor:
     (seconds) is a per-cell budget — a chunk of ``k`` cells gets ``k *
     cell_timeout`` before its worker is killed and the cells retried.
     ``chaos`` installs a :class:`repro.faults.ChaosPlan` that SIGKILLs
-    workers before selected cells' first attempts.
+    workers handed selected cells' first attempts.
     """
 
     def __init__(
         self,
         workers: int = 2,
         chunksize: int = 0,
-        start_method: str = "spawn",
         retries: int = 0,
         cell_timeout: float | None = None,
         retry_backoff_base: float = 0.05,
         chaos: ChaosPlan | None = None,
-        warmup_timeout: float = 60.0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -335,22 +261,16 @@ class SweepExecutor:
         self.cell_timeout = cell_timeout
         self.chaos = chaos
         self._backoff_base = retry_backoff_base
-        self._warmup_timeout = warmup_timeout
-        self._start_method = start_method
         self._ctx = None
         self._workers: list[_Worker] | None = None
         self._closed = False
-        self._next_task_id = 0
         self._init_deaths = 0
         self.sweeps_dispatched = 0
         self.cells_dispatched = 0
         self.retries_attempted = 0
         self.cells_quarantined = 0
         self.workers_respawned = 0
-        self._cache = {
-            "prebuild": {"hits": 0, "misses": 0},
-            "snapshot": {"hits": 0, "misses": 0, "saves": 0, "forks": 0},
-        }
+        self.pipe_close_errors = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -358,9 +278,7 @@ class SweepExecutor:
         if self._closed:
             raise RuntimeError("executor is closed")
         if self._workers is None:
-            self._ctx = multiprocessing.get_context(
-                _resolved_start_method(self._start_method)
-            )
+            self._ctx = multiprocessing.get_context(_resolved_start_method())
             self._workers = [self._spawn_worker() for _ in range(self.workers)]
         return self._workers
 
@@ -373,14 +291,17 @@ class SweepExecutor:
         child_conn.close()  # the parent's copy; EOF detection needs it gone
         return _Worker(proc, parent_conn)
 
-    def _replace_worker(self, index: int) -> None:
-        worker = self._workers[index]
+    def _discard_worker(self, worker: _Worker) -> None:
         try:
             worker.conn.close()
         except OSError:
-            pass
+            self.pipe_close_errors += 1
         if worker.proc.is_alive():
             worker.proc.kill()
+
+    def _replace_worker(self, index: int) -> None:
+        worker = self._workers[index]
+        self._discard_worker(worker)
         worker.proc.join()
         self.workers_respawned += 1
         self._workers[index] = self._spawn_worker()
@@ -405,7 +326,7 @@ class SweepExecutor:
         """
 
         workers = self._ensure_pool()
-        deadline = time.monotonic() + self._warmup_timeout
+        deadline = time.monotonic() + _WARMUP_TIMEOUT
 
         def died(worker: _Worker) -> WorkerPoolError:
             worker.proc.join()
@@ -420,7 +341,7 @@ class SweepExecutor:
                 if remaining <= 0:
                     raise WorkerPoolError(
                         f"sweep worker (pid {worker.proc.pid}) failed to "
-                        f"initialize within {self._warmup_timeout:.0f}s"
+                        f"initialize within {_WARMUP_TIMEOUT:.0f}s"
                     )
                 if worker.conn.poll(min(remaining, _POLL_INTERVAL)):
                     try:
@@ -439,12 +360,7 @@ class SweepExecutor:
 
         if self._workers is not None:
             for worker in self._workers:
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
-                if worker.proc.is_alive():
-                    worker.proc.kill()
+                self._discard_worker(worker)
             for worker in self._workers:
                 worker.proc.join()
             self._workers = None
@@ -458,16 +374,6 @@ class SweepExecutor:
 
     # -- dispatch ------------------------------------------------------------
 
-    def cache_stats(self) -> dict:
-        """Cumulative worker-reported cache counters (prebuild + snapshot).
-
-        Aggregated from the per-chunk deltas every worker reply carries;
-        callers that want per-sweep numbers snapshot this before and
-        after a dispatch and subtract.
-        """
-
-        return {tier: dict(counters) for tier, counters in self._cache.items()}
-
     def map_cells(
         self,
         cells,
@@ -475,6 +381,7 @@ class SweepExecutor:
         chunksize: int | None = None,
         snapshot_dir: str | None = None,
         warmup_views: int | None = None,
+        cache: dict | None = None,
     ):
         """Execute ``cells`` on the pool; yield canonical JSONL lines.
 
@@ -486,7 +393,10 @@ class SweepExecutor:
         with 0) picks :func:`adaptive_chunksize`.  ``snapshot_dir``
         turns on the worker-side snapshot tier (see
         :func:`repro.harness.sweep.run_cell`); ``warmup_views`` forces a
-        snapshot boundary for fault-free cells.
+        snapshot boundary for fault-free cells.  The prebuild/snapshot
+        counter deltas every worker reply carries are added into
+        ``cache`` (shaped like
+        :func:`repro.harness.sweep.empty_cache_counters`).
         """
 
         cells = list(cells)
@@ -498,192 +408,149 @@ class SweepExecutor:
             effective = adaptive_chunksize(len(cells), self.workers)
         self.sweeps_dispatched += 1
         self.cells_dispatched += len(cells)
+        table = LeaseTable(
+            ttl=self.cell_timeout if self.cell_timeout is not None else math.inf,
+            ttl_per_cell=True,
+            retries=self.retries,
+            backoff_base=self._backoff_base,
+        )
+        table.add_cells(cells)
         options = {
             "trace_mode": trace_mode,
             "snapshot_dir": snapshot_dir,
             "warmup_views": warmup_views,
         }
-        return self._supervise(cells, options, effective)
+        return self._supervise(table, options, effective, cache)
 
     # -- supervision ---------------------------------------------------------
 
-    def _supervise(self, cells, options: dict, chunksize: int):
-        """The scheduling loop: assign, collect, heal, retry, quarantine."""
+    def _supervise(
+        self, table: LeaseTable, options: dict, chunksize: int, cache: dict | None
+    ):
+        """The pipe event loop: report events to ``table``, act on its answers.
 
-        # A previous dispatch abandoned mid-sweep may have left chunks
-        # attached; task ids are monotonic, so clearing the handles makes
-        # any late results from those chunks harmlessly stale.
-        for worker in self._workers:
-            worker.task = None
-            worker.deadline = None
+        Workers are the table's runners, named by pool slot.  A worker
+        holding no lease is idle; a reply commits its cells first-write-
+        wins, so a reply to an earlier, abandoned dispatch is dropped (or
+        harmlessly commits the same bytes) without any staleness check.
+        """
 
-        queue = deque(_CellTask(cell) for cell in cells)
-        total = len(cells)
-        done = 0
-        while done < total:
-            out: list[str] = []
-            now = time.monotonic()
+        out: list[str] = []
 
-            # Reap dead and timed-out workers; requeue their cells.  The
-            # pipe is drained first so a result that raced ahead of a
-            # death is honoured rather than re-executed.
-            for index, worker in enumerate(self._workers):
-                if not worker.proc.is_alive():
-                    self._drain_conn(worker, out)
-                    if worker.task is not None:
-                        self._fail_chunk(
-                            worker.task,
-                            f"worker died (exit code {worker.proc.exitcode})",
-                            queue, out, now,
-                        )
-                        worker.task = None
-                    elif not worker.ready:
-                        # Death before the ready handshake means worker
-                        # initialization itself is broken; tolerate a
-                        # bounded number, then give up loudly instead of
-                        # respawning forever (the silent-hang bug).
-                        self._init_deaths += 1
-                        if self._init_deaths >= _MAX_INIT_DEATHS:
-                            raise WorkerPoolError(
-                                f"sweep workers keep dying during start-up "
-                                f"(last exit code {worker.proc.exitcode}); "
-                                f"giving up after {self._init_deaths} attempts"
-                            )
-                    self._replace_worker(index)
-                elif (
-                    worker.task is not None
-                    and worker.deadline is not None
-                    and now >= worker.deadline
-                    and not worker.conn.poll()
-                ):
-                    worker.proc.kill()
-                    worker.proc.join()
-                    self._drain_conn(worker, out)
-                    if worker.task is not None:
-                        self._fail_chunk(
-                            worker.task,
-                            f"cell timeout after {self.cell_timeout:.1f}s",
-                            queue, out, now,
-                        )
-                        worker.task = None
-                    self._replace_worker(index)
+        def handle(index: int, message) -> None:
+            """Apply one worker message: ready handshake or chunk result."""
 
-            # Assign work to idle, ready workers.
-            for worker in self._workers:
-                if worker.task is not None or not worker.ready or not queue:
-                    continue
-                states = self._next_batch(queue, now, chunksize)
-                if not states:
-                    break  # everything pending is backing off
-                chaos = self.chaos
-                items = [
-                    (
-                        state.cell.to_dict(),
-                        state.attempts,
-                        chaos is not None
-                        and chaos.kills(state.cell.cell_id, state.attempts),
-                    )
-                    for state in states
-                ]
-                chunk = _Chunk(self._next_task_id, states)
-                self._next_task_id += 1
+            if message == _READY:
+                self._workers[index].ready = True
+                self._init_deaths = 0
+                return
+            cell_ids, lines, stats = message
+            if cache is not None:
+                add_cache_counters(cache, stats)
+            for cell_id, line in zip(cell_ids, lines):
+                if table.complete(cell_id, str(index)) == "committed":
+                    out.append(line)
+
+        def drain(index: int) -> None:
+            """Process any complete messages still buffered on a dead pipe."""
+
+            conn = self._workers[index].conn
+            while True:
                 try:
-                    worker.conn.send((chunk.task_id, options, items))
+                    if not conn.poll():
+                        return
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    return
+                handle(index, message)
+
+        while not table.all_terminal:
+            now = time.monotonic()
+            ended = []  # leases whose attempt just failed
+
+            # Dead workers.  The pipe is drained first so a result that
+            # raced ahead of the death is honoured rather than re-executed.
+            for index, worker in enumerate(self._workers):
+                if worker.proc.is_alive():
+                    continue
+                drain(index)
+                held = table.runner_dead(
+                    str(index),
+                    now,
+                    error=f"worker died (exit code {worker.proc.exitcode})",
+                )
+                if not held and not worker.ready:
+                    # Death before the ready handshake means worker
+                    # initialization itself is broken; tolerate a bounded
+                    # number, then give up loudly instead of respawning
+                    # forever (the silent-hang bug).
+                    self._init_deaths += 1
+                    if self._init_deaths >= _MAX_INIT_DEATHS:
+                        raise WorkerPoolError(
+                            f"sweep workers keep dying during start-up "
+                            f"(last exit code {worker.proc.exitcode}); "
+                            f"giving up after {self._init_deaths} attempts"
+                        )
+                ended += held
+                self._replace_worker(index)
+
+            # Silent workers: kill the holder of every expired lease.  The
+            # drain after the kill lets a result that raced the deadline
+            # still commit (first write wins, even over a failed cell).
+            expired = table.expire(
+                now, error=f"cell timeout after {table.ttl:.1f}s"
+            )
+            for index in sorted({int(lease.runner_id) for lease in expired}):
+                worker = self._workers[index]
+                worker.proc.kill()
+                worker.proc.join()
+                drain(index)
+                self._replace_worker(index)
+            ended += expired
+
+            for lease in ended:
+                error = table.failed.get(lease.cell_id)
+                if error is None:
+                    self.retries_attempted += 1
+                    continue
+                self.cells_quarantined += 1
+                cell = Cell.from_dict(table.items[lease.cell_id])
+                out.append(
+                    canonical_record(quarantine_record(cell, error, lease.attempts))
+                )
+
+            # Lease work to idle, ready workers.
+            chaos = self.chaos
+            for index, worker in enumerate(self._workers):
+                runner = str(index)
+                if not worker.ready or table.leases_of(runner):
+                    continue
+                if not table.grant(runner, now, chunksize):
+                    break  # everything left is leased or backing off
+                items = []
+                for lease in table.leases_of(runner):
+                    attempt = lease.attempts - 1
+                    kill = chaos is not None and chaos.kills(lease.cell_id, attempt)
+                    items.append(
+                        (lease.cell_id, table.items[lease.cell_id], attempt, kill)
+                    )
+                try:
+                    worker.conn.send((options, items))
                 except (BrokenPipeError, OSError):
-                    queue.extendleft(reversed(states))
-                    continue  # death is reaped on the next iteration
-                worker.task = chunk
-                if self.cell_timeout is not None:
-                    worker.deadline = now + self.cell_timeout * len(states)
+                    # Unreachable is dead: the next iteration reaps it
+                    # and the table re-dispatches what it was just leased.
+                    worker.proc.kill()
 
             # Collect results (and ready handshakes).
-            by_conn = {worker.conn: worker for worker in self._workers}
+            by_conn = {
+                worker.conn: index for index, worker in enumerate(self._workers)
+            }
             for conn in connection.wait(list(by_conn), timeout=_POLL_INTERVAL):
-                worker = by_conn[conn]
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):
                     continue  # death is reaped on the next iteration
-                self._handle_message(worker, message, out)
+                handle(by_conn[conn], message)
 
-            done += len(out)
             yield from out
-
-    def _drain_conn(self, worker: _Worker, out: list[str]) -> None:
-        """Process any complete messages still buffered on a dead pipe."""
-
-        while True:
-            try:
-                if not worker.conn.poll():
-                    return
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                return
-            self._handle_message(worker, message, out)
-
-    def _handle_message(self, worker: _Worker, message, out: list[str]) -> None:
-        """Apply one worker message: ready handshake or chunk result."""
-
-        if message == _READY:
-            worker.ready = True
-            self._init_deaths = 0
-            return
-        task_id, lines, stats = message
-        chunk = worker.task
-        if chunk is None or task_id != chunk.task_id:
-            return  # stale result from an abandoned dispatch
-        worker.task = None
-        worker.deadline = None
-        for tier, counters in stats.items():
-            bucket = self._cache.setdefault(tier, {})
-            for key, value in counters.items():
-                bucket[key] = bucket.get(key, 0) + value
-        out.extend(lines)
-
-    def _fail_chunk(self, chunk: _Chunk, error: str, queue, out: list[str], now: float) -> None:
-        """One attempt failed for every cell in ``chunk``: retry or quarantine.
-
-        Retried cells go to the back of the queue with a deterministic
-        backoff stamp and are later dispatched solo (see
-        :meth:`_next_batch`), so a poisoned cell stops taking hostages.
-        Cells out of retries become canonical ``status: "failed"``
-        records, appended to ``out`` for the caller to yield.
-        """
-
-        from repro.harness.sweep import canonical_record, quarantine_record
-
-        for state in chunk.states:
-            state.attempts += 1
-            if state.attempts > self.retries:
-                self.cells_quarantined += 1
-                out.append(
-                    canonical_record(
-                        quarantine_record(state.cell, error, state.attempts)
-                    )
-                )
-            else:
-                self.retries_attempted += 1
-                state.not_before = now + retry_backoff(
-                    state.cell.cell_id, state.attempts, self._backoff_base
-                )
-                queue.append(state)
-
-    def _next_batch(self, queue, now: float, chunksize: int) -> list:
-        """Pop the next dispatchable batch: fresh cells chunked, retries solo."""
-
-        batch: list[_CellTask] = []
-        deferred: list[_CellTask] = []
-        while queue and len(batch) < chunksize:
-            state = queue.popleft()
-            if state.not_before > now:
-                deferred.append(state)
-                continue
-            if state.attempts > 0:
-                if batch:
-                    deferred.append(state)
-                    continue
-                batch.append(state)
-                break  # retried cells run alone
-            batch.append(state)
-        queue.extend(deferred)
-        return batch
+            out.clear()

@@ -71,25 +71,6 @@ def canonical_fault_entry(entry: str) -> str:
     return json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-#: Per-process snapshot stores, keyed by directory.  Sweep workers reuse
-#: one store object across chunks so its hit/miss counters accumulate and
-#: repeated opens of the same directory stay cheap; the *directory* is
-#: shared across processes, which is where cross-process reuse happens.
-_SNAPSHOT_STORES: dict[str, SnapshotStore] = {}
-
-
-def process_snapshot_store(path: str | None) -> SnapshotStore | None:
-    """The process-cached :class:`SnapshotStore` for ``path`` (or ``None``)."""
-
-    if path is None:
-        return None
-    store = _SNAPSHOT_STORES.get(path)
-    if store is None:
-        store = SnapshotStore(path)
-        _SNAPSHOT_STORES[path] = store
-    return store
-
-
 # ---------------------------------------------------------------------------
 # Spec and cells
 # ---------------------------------------------------------------------------
@@ -478,12 +459,7 @@ def prepare_cell(cell: Cell, trace_mode: str = "bounded"):
     """
 
     if cell.protocol == TOBSVD_NAME:
-        config = TobSvdConfig(
-            n=cell.n, num_views=cell.num_views, delta=cell.delta, seed=cell.run_seed
-        )
-        schedule = PREBUILD.tobsvd_schedule(cell, config)
-        corruption = PREBUILD.corruption(cell.n, cell.f)
-        fault_plan = _compiled_fault_plan(cell, config, schedule, corruption)
+        config, schedule, corruption, fault_plan = _tobsvd_scaffold(cell)
         pool = TransactionPool()
         txs = _anchored_submissions(pool, cell, config.time.view_ticks)
         protocol = TobSvdProtocol(
@@ -524,24 +500,30 @@ def prepare_cell(cell: Cell, trace_mode: str = "bounded"):
     return protocol, txs
 
 
-def _compiled_fault_plan(cell: Cell, config, schedule, corruption):
-    """Compile the cell's fault spec (or ``None`` for fault-free cells).
+def _tobsvd_scaffold(cell: Cell):
+    """A TOB-SVD cell's ``(config, schedule, corruption, fault_plan)``.
 
-    Both execution paths — from-genesis and snapshot-fork — call exactly
-    this, with exactly these arguments, so the compiled plans (and hence
-    the simulated event streams) are identical.
+    Both execution paths — from-genesis and snapshot-fork — derive these
+    here, so the compiled plans (and hence the simulated event streams)
+    are identical.  ``fault_plan`` is ``None`` for fault-free cells.
     """
 
-    spec = cell.fault_spec()
-    if spec is None:
-        return None
-    return compile_checked_fault_plan(
-        spec,
-        config,
-        corruption if corruption is not None else CorruptionPlan.none(),
-        schedule,
-        label=f"cell {cell.cell_id}",
+    config = TobSvdConfig(
+        n=cell.n, num_views=cell.num_views, delta=cell.delta, seed=cell.run_seed
     )
+    schedule = PREBUILD.tobsvd_schedule(cell, config)
+    corruption = PREBUILD.corruption(cell.n, cell.f)
+    spec = cell.fault_spec()
+    fault_plan = None
+    if spec is not None:
+        fault_plan = compile_checked_fault_plan(
+            spec,
+            config,
+            corruption if corruption is not None else CorruptionPlan.none(),
+            schedule,
+            label=f"cell {cell.cell_id}",
+        )
+    return config, schedule, corruption, fault_plan
 
 
 def _metrics(cell: Cell, result, txs: list) -> dict:
@@ -616,12 +598,7 @@ def _execute_forked(
 
     if cell.protocol != TOBSVD_NAME:
         return None
-    config = TobSvdConfig(
-        n=cell.n, num_views=cell.num_views, delta=cell.delta, seed=cell.run_seed
-    )
-    schedule = PREBUILD.tobsvd_schedule(cell, config)
-    corruption = PREBUILD.corruption(cell.n, cell.f)
-    fault_plan = _compiled_fault_plan(cell, config, schedule, corruption)
+    config, _, _, fault_plan = _tobsvd_scaffold(cell)
     view = _snapshot_view(cell, config, fault_plan, warmup_views)
     if view < 1:
         return None
@@ -638,6 +615,61 @@ def _execute_forked(
     forked.advance(forked.config.horizon)
     result = forked.finish()
     return _metrics(cell, result, list(forked.pool))
+
+
+def empty_cache_counters() -> dict:
+    """The all-zero prebuild + snapshot tier counters."""
+
+    return {
+        "prebuild": {"hits": 0, "misses": 0},
+        "snapshot": SnapshotStore.empty_stats(),
+    }
+
+
+def add_cache_counters(total: dict, delta: dict) -> None:
+    """Add ``delta`` into ``total`` in place (both in the reporting shape)."""
+
+    for tier, counters in delta.items():
+        for key, value in counters.items():
+            total[tier][key] += value
+
+
+def run_cell_batch(
+    cell_dicts,
+    trace_mode: str = "bounded",
+    snapshot_dir: str | None = None,
+    warmup_views: int | None = None,
+    cache: dict | None = None,
+):
+    """Execute cells given in dict form; yield each canonical JSONL line.
+
+    The one place cell dicts become result lines — the in-process sweep,
+    the pool worker and the fleet runner all call it — so every record is
+    serialized exactly once, by :func:`canonical_record`, next to the
+    simulation that produced it.  Lines are yielded as cells finish (the
+    fleet runner streams them as heartbeats).  ``snapshot_dir`` opens the
+    snapshot tier on that directory for the batch; the directory is
+    shared by every process of a sweep, so a prefix warmed by one is a
+    disk hit for all others (atomic first-rename-wins puts).  Once the
+    batch is exhausted its prebuild/snapshot counter deltas are added
+    into ``cache`` (a dict shaped like :func:`empty_cache_counters`).
+    """
+
+    snapshot_store = SnapshotStore(snapshot_dir) if snapshot_dir is not None else None
+    hits, misses = PREBUILD.hits, PREBUILD.misses
+    for data in cell_dicts:
+        yield canonical_record(
+            run_cell(
+                Cell.from_dict(data),
+                trace_mode,
+                snapshot_store=snapshot_store,
+                warmup_views=warmup_views,
+            )
+        )
+    if cache is not None:
+        prebuild = {"hits": PREBUILD.hits - hits, "misses": PREBUILD.misses - misses}
+        snapshot = snapshot_store.stats() if snapshot_store is not None else {}
+        add_cache_counters(cache, {"prebuild": prebuild, "snapshot": snapshot})
 
 
 # ---------------------------------------------------------------------------
@@ -886,13 +918,28 @@ class SweepOutcome:
     skipped: int
     records: list[dict] = field(default_factory=list)
     recovered: int = 0
-    fleet: dict | None = None  # lease/registration counters (fleet backend)
     cache: dict | None = None  # prebuild + snapshot tier hit/miss counters
 
     def sorted_records(self) -> list[dict]:
         """Records in canonical (cell_id) order — the aggregation input."""
 
         return sorted(self.records, key=lambda r: r["cell_id"])
+
+
+def pending_cells(
+    spec: ExperimentSpec, store: ResultStore | None
+) -> tuple[tuple[Cell, ...], list[Cell], int]:
+    """The resume prologue every sweep driver shares.
+
+    Quarantines corrupt store lines, expands the grid and filters out the
+    cells the store already holds a durable result for.  Returns
+    ``(cells, todo, recovered)``.
+    """
+
+    cells = spec.expand()
+    recovered = store.recover() if store is not None else 0
+    done = store.completed_ids() if store is not None else set()
+    return cells, [cell for cell in cells if cell.cell_id not in done], recovered
 
 
 def run_sweep(
@@ -902,28 +949,23 @@ def run_sweep(
     progress: Callable[[dict], None] | None = None,
     trace_mode: str = "bounded",
     executor: "SweepExecutor | None" = None,
-    chunksize: int = 0,
-    backend: str = "local",
-    fleet_options: dict | None = None,
     snapshot_dir: str | None = None,
     warmup_views: int | None = None,
 ) -> SweepOutcome:
     """Expand ``spec`` and execute every not-yet-recorded cell.
 
-    Parallel execution goes through a :class:`repro.harness.executor.
-    SweepExecutor`: pass one in (``executor=``) to reuse a warm worker
-    pool across sweeps, or set ``workers > 1`` to run on a throwaway
-    executor for just this call.  Results are appended to ``store`` as
+    Cells run in this process when no pool was given and ``workers <= 1``
+    or at most one cell is left; otherwise on a :class:`repro.harness.
+    executor.SweepExecutor` — the one passed in (``executor=``, a warm
+    pool reused across sweeps) or a throwaway one with ``workers``
+    processes for just this call.  Results are appended to ``store`` as
     they complete (completion order may differ between runs, which is
-    why consumers read :meth:`SweepOutcome.sorted_records`).  Serial and
-    parallel execution produce the same record *set*, byte-for-byte,
-    because cells share no mutable state, derive all randomness from
-    their own coordinates, and every record is serialized exactly once
-    by :func:`canonical_record` — in the worker for parallel runs, whose
-    raw line the parent appends verbatim.
-
-    ``chunksize`` controls dispatch batching for a throwaway executor
-    (``0`` = adaptive); a caller-provided executor uses its own setting.
+    why consumers read :meth:`SweepOutcome.sorted_records`).  Both paths
+    produce the same record *set*, byte-for-byte, because cells share no
+    mutable state, derive all randomness from their own coordinates, and
+    every record is serialized exactly once by :func:`run_cell_batch` —
+    in the worker for pool runs, whose raw line the parent appends
+    verbatim.
 
     ``progress`` (if given) is called with each fresh record — the CLI
     uses it for per-cell console lines.
@@ -934,32 +976,16 @@ def run_sweep(
     retention-independent — resuming a ``full`` store with ``bounded``
     cells, or vice versa, is safe.
 
-    ``backend`` picks the execution fabric behind the same interface:
-    ``"local"`` (this process tree: serial, throwaway pool, or the
-    given ``executor``) or ``"fleet"`` (a localhost coordinator/runner
-    fleet — ``workers`` becomes the runner-process count and
-    ``fleet_options`` passes through to
-    :func:`repro.fleet.local.run_fleet_local`).  Both backends honour
-    resume against ``store`` and produce byte-identical record sets —
-    the fleet adds its lease/re-dispatch counters as
-    :attr:`SweepOutcome.fleet`.
-
     ``snapshot_dir`` turns on the snapshot cache tier (tier three of
     immutable prebuild → warm snapshots → per-cell runs): eligible cells
     sharing a warm-up prefix run it once and fork the stored snapshot.
     ``warmup_views`` forces a snapshot boundary for fault-free TOB-SVD
     cells (see :func:`run_cell`).  Records are byte-identical with the
-    tier on or off; the local backend reports tier counters as
+    tier on or off; tier counters come back as
     :attr:`SweepOutcome.cache`.
     """
 
-    if backend not in ("local", "fleet"):
-        raise ValueError(f"unknown sweep backend {backend!r}")
-    cells = spec.expand()
-    recovered = store.recover() if store is not None else 0
-    done = store.completed_ids() if store is not None else set()
-    todo = [cell for cell in cells if cell.cell_id not in done]
-
+    cells, todo, recovered = pending_cells(spec, store)
     fresh: list[dict] = []
 
     def consume_line(line: str) -> None:
@@ -970,75 +996,34 @@ def run_sweep(
         if progress is not None:
             progress(record)
 
-    fleet_counters: dict | None = None
-    cache_counters: dict | None = None
-    if backend == "fleet":
-        from repro.fleet.local import run_fleet_local
-
-        def fleet_commit(line: str) -> None:
-            # The coordinator appends committed lines to the store
-            # itself (first-write-wins under its lock); this callback
-            # only mirrors them into the in-memory outcome.
-            record = json.loads(line)
-            fresh.append(record)
-            if progress is not None:
-                progress(record)
-
-        if todo:
-            options = dict(fleet_options or {})
-            if snapshot_dir is not None:
-                options.setdefault("snapshot_dir", snapshot_dir)
-            if warmup_views is not None:
-                options.setdefault("warmup_views", warmup_views)
-            summary = run_fleet_local(
-                todo,
-                store=store,
-                runners=max(1, workers),
-                trace_mode=trace_mode,
-                on_commit=fleet_commit,
-                **options,
-            )
-            fleet_counters = summary.counters
-    elif executor is not None and todo:
-        before = executor.cache_stats()
-        for line in executor.map_cells(
-            todo, trace_mode, snapshot_dir=snapshot_dir, warmup_views=warmup_views
-        ):
-            consume_line(line)
-        cache_counters = _cache_delta(before, executor.cache_stats())
-    elif workers <= 1 or len(todo) <= 1:
-        snapshot_store = (
-            SnapshotStore(snapshot_dir) if snapshot_dir is not None else None
+    cache_counters = empty_cache_counters()
+    pool = executor
+    if pool is None and (workers <= 1 or len(todo) <= 1):
+        lines = run_cell_batch(
+            (cell.to_dict() for cell in todo),
+            trace_mode,
+            snapshot_dir,
+            warmup_views,
+            cache=cache_counters,
         )
-        prebuild_before = (PREBUILD.hits, PREBUILD.misses)
-        for cell in todo:
-            consume_line(
-                canonical_record(
-                    run_cell(
-                        cell,
-                        trace_mode,
-                        snapshot_store=snapshot_store,
-                        warmup_views=warmup_views,
-                    )
-                )
-            )
-        cache_counters = {
-            "prebuild": {
-                "hits": PREBUILD.hits - prebuild_before[0],
-                "misses": PREBUILD.misses - prebuild_before[1],
-            },
-            "snapshot": snapshot_store.stats() if snapshot_store is not None
-            else SnapshotStore.empty_stats(),
-        }
     else:
-        from repro.harness.executor import SweepExecutor
+        if pool is None:
+            from repro.harness.executor import SweepExecutor
 
-        with SweepExecutor(workers=workers, chunksize=chunksize) as throwaway:
-            for line in throwaway.map_cells(
-                todo, trace_mode, snapshot_dir=snapshot_dir, warmup_views=warmup_views
-            ):
-                consume_line(line)
-            cache_counters = throwaway.cache_stats()
+            pool = SweepExecutor(workers=workers)
+        lines = pool.map_cells(
+            todo,
+            trace_mode,
+            snapshot_dir=snapshot_dir,
+            warmup_views=warmup_views,
+            cache=cache_counters,
+        )
+    try:
+        for line in lines:
+            consume_line(line)
+    finally:
+        if pool is not executor:
+            pool.close()  # the throwaway pool
 
     records = {r["cell_id"]: r for r in (store.load() if store is not None else fresh)}
     wanted = {cell.cell_id for cell in cells}
@@ -1049,17 +1034,5 @@ def run_sweep(
         skipped=len(cells) - len(todo),
         records=[records[cid] for cid in sorted(wanted & set(records))],
         recovered=recovered,
-        fleet=fleet_counters,
         cache=cache_counters,
     )
-
-
-def _cache_delta(before: dict, after: dict) -> dict:
-    """Per-sweep counter deltas from two :meth:`SweepExecutor.cache_stats`."""
-
-    return {
-        tier: {
-            key: after[tier][key] - before[tier][key] for key in after[tier]
-        }
-        for tier in after
-    }

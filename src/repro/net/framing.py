@@ -7,10 +7,9 @@ coalesces writes arbitrarily, so the reader must reassemble frames from
 partial reads, and a peer that dies mid-frame must surface as a typed
 error rather than a hang or a half-parsed message.
 
-The codec started life as the fleet fabric's wire protocol
-(``repro.fleet.wire``) and is now shared with the real-transport node
-runtime (``repro.node``); both speak exactly these bytes, so a node and
-a fleet runner can be debugged with the same tooling.
+The fleet fabric (``repro.fleet``) and the real-transport node runtime
+(``repro.node``) both speak exactly these bytes, so a node and a fleet
+runner can be debugged with the same tooling.
 
 Failure taxonomy (all subclasses of :class:`WireError`):
 

@@ -34,6 +34,7 @@ from repro.harness.sweep import (
     ExperimentSpec,
     ResultStore,
     canonical_record,
+    pending_cells,
     run_sweep,
 )
 
@@ -68,11 +69,11 @@ def spawn_runners(coordinator, count, prefix="chaos-runner"):
     import multiprocessing
 
     host, port = coordinator.address
-    ctx = multiprocessing.get_context(_resolved_start_method("spawn"))
+    ctx = multiprocessing.get_context(_resolved_start_method())
     procs = [
         ctx.Process(
             target=_runner_proc_main,
-            args=(host, port, f"{prefix}-{index}", 0),
+            args=(host, port, f"{prefix}-{index}"),
             daemon=True,
         )
         for index in range(count)
@@ -102,17 +103,15 @@ class TestFleetByteIdentity:
     def test_two_runner_fleet_matches_serial(self, serial, tmp_path):
         serial_lines, serial_csv = serial
         store = ResultStore(str(tmp_path / "fleet.jsonl"))
-        outcome = run_sweep(
-            GRID1024,
-            store=store,
-            workers=2,
-            backend="fleet",
-            fleet_options={"timeout": 300.0, "batch_size": 16},
+        cells, todo, _ = pending_cells(GRID1024, store)
+        assert len(todo) == len(cells) == 1024
+        summary = run_fleet_local(
+            todo, store=store, runners=2, timeout=300.0, batch_size=16
         )
-        assert outcome.executed == 1024 and outcome.skipped == 0
+        assert summary.complete
         assert sorted_lines(store.load()) == serial_lines
-        assert csv_of(outcome.records) == serial_csv
-        counters = outcome.fleet
+        assert csv_of(store.load()) == serial_csv
+        counters = summary.counters
         assert counters["runners_registered"] == 2
         assert counters["results_committed"] == 1024
         assert counters["cells_committed"] == 1024
@@ -120,20 +119,17 @@ class TestFleetByteIdentity:
 
     def test_fleet_resumes_a_partial_store(self, serial, tmp_path):
         # Seed the store with a serial prefix, then let the fleet finish
-        # only the remainder — resume semantics are backend-independent.
+        # only the remainder — resume semantics are driver-independent.
         serial_lines, _ = serial
         store = ResultStore(str(tmp_path / "resume.jsonl"))
-        cells = GRID1024.expand()
-        for cell in cells[:300]:
+        for cell in GRID1024.expand()[:300]:
             store.append_line(serial_lines_by_id(serial_lines)[cell.cell_id])
-        outcome = run_sweep(
-            GRID1024,
-            store=store,
-            workers=2,
-            backend="fleet",
-            fleet_options={"timeout": 300.0, "batch_size": 16},
+        cells, todo, _ = pending_cells(GRID1024, store)
+        assert len(cells) - len(todo) == 300 and len(todo) == 724
+        summary = run_fleet_local(
+            todo, store=store, runners=2, timeout=300.0, batch_size=16
         )
-        assert outcome.skipped == 300 and outcome.executed == 724
+        assert summary.cells_total == summary.cells_committed == 724
         assert sorted_lines(store.load()) == serial_lines
 
     def test_runner_sigkill_mid_sweep_converges_byte_identical(

@@ -17,13 +17,13 @@ import pytest
 
 from repro.fleet.coordinator import CoordinatorConfig, FleetCoordinator
 from repro.fleet.runner import FleetRunner
-from repro.fleet.wire import FrameConnection
 from repro.harness.sweep import (
     ExperimentSpec,
     ResultStore,
     canonical_record,
     run_cell,
 )
+from repro.net.framing import FrameConnection
 
 SPEC4 = ExperimentSpec(
     name="fleet-unit", ns=(4,), deltas=(1,), seeds=4, num_views=4, txs_per_cell=2
@@ -180,6 +180,24 @@ class TestCoordinatorProtocol:
             assert coordinator.table.leased_count == 0
             assert coordinator.counters()["cells_redispatched"] == 2
 
+    def test_connection_dropped_mid_frame_is_counted_then_requeued(self):
+        with FleetCoordinator(CELLS4) as coordinator:
+            host, port = coordinator.address
+            sock = socket.create_connection((host, port), timeout=5.0)
+            conn = FrameConnection(sock)
+            rpc(conn, {"type": "register", "runner": "u1"})
+            rpc(conn, {"type": "lease", "runner": "u1", "max_cells": 2})
+            sock.sendall(b"\x00\x00\x00\x10{")  # 16 bytes promised, 1 sent
+            conn.close()
+            waiter = threading.Event()
+            for _ in range(100):
+                if coordinator.table.leased_count == 0:
+                    break
+                waiter.wait(0.05)
+            counters = coordinator.counters()
+            assert counters["connections_dropped"] == 1
+            assert counters["cells_redispatched"] == 2  # still the death path
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CoordinatorConfig(lease_ttl=0)
@@ -202,10 +220,6 @@ class TestRunnerClient:
         serial = sorted(canonical_record(run_cell(c)) for c in CELLS4)
         stored = sorted(canonical_record(r) for r in store.load())
         assert stored == serial
-
-    def test_runner_validation(self):
-        with pytest.raises(ValueError):
-            FleetRunner(host="127.0.0.1", port=1, workers=-1)
 
 
 class TestResultStoreFirstWriteWins:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.fleet.lease import LeaseTable
+from repro.harness.lease import LeaseTable
 
 
 def table_with(cell_ids, affinity=None, ttl=5.0):

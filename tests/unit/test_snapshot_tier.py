@@ -6,19 +6,17 @@ import json
 
 import pytest
 
-from repro.harness.prebuild import PREBUILD
 from repro.harness.sweep import (
     Cell,
     ExperimentSpec,
     SnapshotStore,
-    _compiled_fault_plan,
     _snapshot_view,
+    _tobsvd_scaffold,
     canonical_fault_entry,
     canonical_record,
     run_cell,
     run_sweep,
 )
-from repro.core.tobsvd import TobSvdConfig
 
 CRASH = json.dumps({"crash_count": 1, "crash_view": 6, "crash_deltas": 4})
 DROPS = json.dumps({"drop_rate": 0.25})
@@ -35,12 +33,8 @@ def make_cell(faults="", **overrides):
 
 
 def plan_for(cell):
-    config = TobSvdConfig(
-        n=cell.n, num_views=cell.num_views, delta=cell.delta, seed=cell.run_seed
-    )
-    schedule = PREBUILD.tobsvd_schedule(cell, config)
-    corruption = PREBUILD.corruption(cell.n, cell.f)
-    return config, _compiled_fault_plan(cell, config, schedule, corruption)
+    config, _, _, fault_plan = _tobsvd_scaffold(cell)
+    return config, fault_plan
 
 
 # -- fault-entry canonicalization --------------------------------------------

@@ -14,7 +14,7 @@ import struct
 
 import pytest
 
-from repro.fleet.wire import (
+from repro.net.framing import (
     MAX_FRAME_BYTES,
     CorruptFrameError,
     FrameTooLargeError,
