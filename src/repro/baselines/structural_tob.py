@@ -148,7 +148,7 @@ class StructuralTobValidator(BaseValidator):
     # -- phases ---------------------------------------------------------------------
 
     def _propose(self, view: int) -> None:
-        batch = self._context.pool.pending_for(self.head.transactions(), before=self.now)
+        batch = self._context.pool.pending_for_log(self.head, before=self.now)
         proposal_log = self.head.append_block(batch, proposer=self.validator_id, view=view)
         vrf_output = self._context.vrf.evaluate(self.validator_id, view)
         self.broadcast(ProposalMessage(view=view, log=proposal_log, vrf=vrf_output))

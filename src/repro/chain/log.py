@@ -23,13 +23,21 @@ that three ways:
   cache follows parent links only, never a global table: block ids hash
   transaction *ids*, so equal-id logs from different simulation runs may
   carry distinct :class:`Transaction` objects and must not be conflated;
-* **Incremental log ids** — each log carries the canonical byte encoding
-  of its block-id sequence, so a child's ``log_id`` derives from the
-  parent's bytes plus one tip id.  The resulting digests are
+* **Shared id encoding, sibling hasher** — the canonical byte encoding of
+  a log's block-id sequence is a prefix of every descendant's, so a
+  lineage keeps *one* growable buffer and a log is ``(buffer, end
+  offset)``.  Only logs that get a child materialise theirs; the parent
+  then primes one hasher with that encoding and every child derives its
+  ``log_id`` from a ``.copy()`` plus its own tip id.  The digests are
   byte-identical to hashing the full sequence from scratch;
 * **Trusted slices** — prefixes of a validated log and single-block
   extensions skip parent-link re-validation (a contiguous slice of a
   valid chain is valid by construction).
+
+A log is an immutable *value*, but the caches above are mutable state
+shared along a lineage (extending a log appends to its ancestors'
+buffer), so the logs of one run are built from one thread — as the
+simulator and the node runtime's single protocol loop do.
 """
 
 from __future__ import annotations
@@ -40,7 +48,16 @@ from typing import Iterable, Iterator, Sequence
 from repro.chain.block import Block
 from repro.chain.genesis import GENESIS_BLOCK
 from repro.chain.transactions import Transaction
-from repro.crypto.hashing import canonical_str, digest_tagged_strings
+from repro.crypto.hashing import (
+    canonical_str,
+    finish_tagged_strings,
+    tagged_strings_hasher,
+)
+
+
+#: Every log whose length is a multiple of this pickles its ancestors
+#: explicitly; bounds the pickler's recursion (see ``Log._pickle_spine``).
+_PICKLE_STRIDE = 64
 
 
 @total_ordering
@@ -51,13 +68,14 @@ class Log:
         "_blocks",
         "_log_id",
         "_hash",
-        "_ids_inner",
+        "_enc",
+        "_child_hasher",
         "_parent",
         "_prefixes",
         "_tx_tuple",
-        "_tx_set",
         "_token_ctx",
         "_token",
+        "pending_memo",
     )
 
     def __init__(self, blocks: Sequence[Block]) -> None:
@@ -71,23 +89,27 @@ class Log:
                 raise ValueError(
                     f"broken parent link: {child!r} does not extend {parent!r}"
                 )
-        self._finish_init(
-            blocks, b"".join(canonical_str(b.block_id) for b in blocks), None
-        )
+        self._finish_init(blocks, None)
 
-    def _finish_init(
-        self, blocks: tuple[Block, ...], ids_inner: bytes, parent: "Log | None"
-    ) -> None:
+    def _finish_init(self, blocks: tuple[Block, ...], parent: "Log | None") -> None:
         self._blocks = blocks
-        self._ids_inner = ids_inner
-        self._log_id = digest_tagged_strings("log", ids_inner, len(blocks))
-        self._hash = hash(self._log_id)
         self._parent = parent
+        # Both materialise when this log first gets a child.
+        self._enc: tuple[bytearray, int] | None = None
+        self._child_hasher = None
+        if parent is not None:
+            self._log_id = parent._child_id(blocks[-1].block_id)
+        else:
+            hasher = tagged_strings_hasher("log", len(blocks))
+            hasher.update(b"".join(canonical_str(b.block_id) for b in blocks[:-1]))
+            self._log_id = finish_tagged_strings(hasher, blocks[-1].block_id)
+        self._hash = hash(self._log_id)
         self._prefixes: list[Log] | None = None
         self._tx_tuple: tuple[Transaction, ...] | None = None
-        self._tx_set: frozenset[Transaction] | None = None
         self._token_ctx: object | None = None  # RunContext that pinned _token
         self._token: int = -1
+        #: Owned by :meth:`TransactionPool.pending_for_log`; never pickled.
+        self.pending_memo = None
 
     @classmethod
     def _trusted(
@@ -96,18 +118,60 @@ class Log:
         """Build a log from blocks already known to form a valid chain.
 
         ``parent`` (when given) must be the log of ``blocks[:-1]``; its
-        cached byte encoding then makes the id derivation O(1) in the
-        chain length, and the parent link feeds the shared prefix cache.
+        shared id encoding then makes the id derivation O(1) in the
+        chain length for every sibling after the first, and the parent
+        link feeds the shared prefix cache.
         """
 
         log = object.__new__(cls)
-        if parent is not None and len(parent._blocks) == len(blocks) - 1:
-            ids_inner = parent._ids_inner + canonical_str(blocks[-1].block_id)
-        else:
-            ids_inner = b"".join(canonical_str(b.block_id) for b in blocks)
+        if parent is not None and len(parent._blocks) != len(blocks) - 1:
             parent = None
-        log._finish_init(blocks, ids_inner, parent)
+        log._finish_init(blocks, parent)
         return log
+
+    # -- log ids -----------------------------------------------------------------
+
+    def _child_id(self, tip_id: str) -> str:
+        """``log_id`` of this log extended by a block with id ``tip_id``.
+
+        Siblings share both the element count and the parent's encoding,
+        so one primed hasher serves them all.  (A child's preimage does
+        *not* extend its parent's — the count precedes the sequence — so
+        the state cannot be carried further down the chain.)
+        """
+
+        hasher = self._child_hasher
+        if hasher is None:
+            hasher = tagged_strings_hasher("log", len(self._blocks) + 1)
+            hasher.update(self._materialise_encoding())
+            self._child_hasher = hasher
+        return finish_tagged_strings(hasher.copy(), tip_id)
+
+    def _materialise_encoding(self) -> bytearray:
+        """Put this log at the head of a lineage buffer and return it.
+
+        The buffer is ``canonical_str(block_id)`` of every block,
+        concatenated; ``_enc`` remembers it with this log's end offset.
+        It is shared down the lineage: a log whose parent is still the
+        buffer's head extends it in place, and only extending a log the
+        buffer has already grown past (a fork) copies.  One step, never a
+        walk: a log with a parent link got its id from that parent's
+        hasher, so the parent's encoding exists.  Runs once per log, when
+        it gets its first child.
+        """
+
+        parent = self._parent
+        if parent is None:
+            buf = bytearray(
+                b"".join(canonical_str(b.block_id) for b in self._blocks)
+            )
+        else:
+            buf, end = parent._enc
+            if end != len(buf):
+                buf = buf[:end]
+            buf += canonical_str(self._blocks[-1].block_id)
+        self._enc = (buf, len(buf))
+        return buf
 
     # -- construction -----------------------------------------------------
 
@@ -188,27 +252,54 @@ class Log:
     # -- serialization -----------------------------------------------------
 
     def __getstate__(self):
-        """Pickle only the blocks and the parent link.
+        """Pickle only the tip block and the parent link.
 
-        Everything else — ``_ids_inner`` (O(chain) bytes per log, the
-        bulk of a mid-run snapshot), ``_log_id``, and the lazy caches —
-        is derivable, so shipping it would only bloat blobs.  The parent
-        link keeps id re-derivation incremental on load and preserves
-        the prefix-sharing topology of the thawed graph.  Interning pins
-        (``_token_ctx``/``_token``) are dropped: tokens are keyed by
-        digest in the run's own (pickled) table, so thawed logs re-read
-        the same values on first touch.
+        Everything else is derivable: the block tuple is the parent's plus
+        the tip, ``_log_id`` re-derives through the parent's sibling
+        hasher, and the id encoding, hasher, lazy caches and
+        ``pending_memo`` (which names a live pool) rebuild on demand.  The
+        parent link preserves the prefix-sharing topology of the thawed
+        graph.  Interning pins (``_token_ctx``/``_token``) are dropped:
+        tokens are keyed by digest in the run's own (pickled) table, so
+        thawed logs re-read the same values on first touch.
+
+        The leading spine only fixes the *order* the pickler meets the
+        ancestors in (see :meth:`_pickle_spine`); loading ignores it.
         """
 
-        return (self._blocks, self._parent)
+        parent = self._parent
+        if parent is None:
+            return ((), None, self._blocks)
+        return (self._pickle_spine(), parent, self._blocks[-1])
+
+    def _pickle_spine(self) -> tuple["Log", ...]:
+        """Ancestors to pickle before this log, root first.
+
+        Following parent links alone, the pickler recurses once per
+        ancestor and a chain of a few hundred blocks exhausts the stack.
+        Every ``_PICKLE_STRIDE``-th log therefore names the earlier
+        stride logs and then the ``_PICKLE_STRIDE - 1`` logs it directly
+        sits on, so each is memoised before anything that points at it
+        and the recursion depth is bounded by the stride, whatever the
+        chain length.
+        """
+
+        length = len(self._blocks)
+        if length % _PICKLE_STRIDE:
+            return ()
+        ancestors = []
+        node = self._parent
+        while node is not None:
+            ancestors.append(node)
+            node = node._parent
+        ancestors.reverse()
+        strides = [a for a in ancestors if len(a._blocks) % _PICKLE_STRIDE == 0]
+        return tuple(strides + ancestors[1 - _PICKLE_STRIDE :])
 
     def __setstate__(self, state) -> None:
-        blocks, parent = state
-        if parent is not None and len(parent._blocks) == len(blocks) - 1:
-            ids_inner = parent._ids_inner + canonical_str(blocks[-1].block_id)
-        else:
-            ids_inner = b"".join(canonical_str(b.block_id) for b in blocks)
-        self._finish_init(blocks, ids_inner, parent)
+        _spine, parent, tail = state
+        blocks = tail if parent is None else parent._blocks + (tail,)
+        self._finish_init(blocks, parent)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -221,6 +312,12 @@ class Log:
         """The last block of the log."""
 
         return self._blocks[-1]
+
+    @property
+    def parent(self) -> "Log | None":
+        """The log this one was appended to (``None`` when built from raw blocks)."""
+
+        return self._parent
 
     @property
     def log_id(self) -> str:
@@ -294,28 +391,19 @@ class Log:
         return list(cached)
 
     def contains_transaction(self, tx: Transaction) -> bool:
-        """True iff some block of the log includes ``tx``."""
+        """True iff some block of the log includes ``tx``.
 
-        cached = self._tx_set
-        if cached is None:
-            # Extend the nearest ancestor's cached set instead of
-            # re-walking the whole chain: the one-frozenset copy is the
-            # unavoidable cost, the per-block scan covers only the
-            # suffix above that ancestor.
-            node = self._parent
-            while node is not None and node._tx_set is None:
-                node = node._parent
-            if node is not None:
-                base, start = node._tx_set, len(node._blocks)
-            else:
-                base, start = frozenset(), 0
-            cached = base.union(
-                tx2
-                for block in self._blocks[start:]
-                for tx2 in block.transactions
-            )
-            self._tx_set = cached
-        return tx in cached
+        A plain scan: the proposer no longer asks (see
+        :meth:`TransactionPool.pending_for_log`), and a per-log
+        transaction set costs O(chain) memory for every log queried.
+        """
+
+        tx_id = tx.tx_id  # int pre-filter: dataclass equality is a Python call
+        for block in self._blocks:
+            for other in block.transactions:
+                if other.tx_id == tx_id and other == tx:
+                    return True
+        return False
 
     def proper_prefixes(self) -> Iterator["Log"]:
         """All strict prefixes, shortest first."""

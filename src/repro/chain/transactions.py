@@ -14,8 +14,13 @@ containing the transaction (Section 2).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only (log imports this module)
+    from repro.chain.log import Log
 
 
 @dataclass(frozen=True, order=True)
@@ -57,6 +62,29 @@ def bounded_payload_validity(max_len: int) -> ValidityPredicate:
     return predicate
 
 
+class PendingMemo(NamedTuple):
+    """What one log knows about one pool state (``Log.pending_memo``).
+
+    Valid for exactly the pool object, pool length and visible count it
+    names; :meth:`TransactionPool.pending_for_log` checks all three.
+    """
+
+    pool: "TransactionPool"
+    pool_len: int
+    #: How many pool entries, in ``(submitted_at, tx_id)`` order, were visible.
+    visible: int
+    #: The visible entries not in the log, in pool-insertion order.  Not
+    #: filtered by validity: the predicate runs on every call.
+    pending: tuple[Transaction, ...]
+    #: Transactions the log carries that were *not* yet visible — only a
+    #: hand-built block can hold one; they must not resurface as pending
+    #: once a later cut-off makes them visible.
+    early: frozenset[Transaction]
+
+
+_tx_id = attrgetter("tx_id")
+
+
 class TransactionPool:
     """The global, externally-fed transaction pool of Section 2.
 
@@ -71,6 +99,9 @@ class TransactionPool:
     def __init__(self, validity: ValidityPredicate = always_valid) -> None:
         self._validity = validity
         self._transactions: list[Transaction] = []
+        # (submitted_at, tx_id) of every entry, sorted: the visibility
+        # cut-off is a bisect.  tx_id indexes ``_transactions``.
+        self._by_time: list[tuple[int, int]] = []
         self._next_id = 0
 
     def submit(self, payload: str = "", at_time: int = 0) -> Transaction:
@@ -84,6 +115,7 @@ class TransactionPool:
         tx = Transaction(tx_id=self._next_id, payload=payload, submitted_at=at_time)
         self._next_id += 1
         self._transactions.append(tx)
+        insort(self._by_time, (at_time, tx.tx_id))
         return tx
 
     def submit_many(self, count: int, at_time: int = 0, prefix: str = "tx") -> list[Transaction]:
@@ -128,20 +160,77 @@ class TransactionPool:
         seen = set(included)
         return [tx for tx in self.valid_transactions(before) if tx not in seen]
 
-    def pending_for_log(self, log, before: int | None = None) -> list[Transaction]:
+    def pending_for_log(self, log: "Log", before: int | None = None) -> list[Transaction]:
         """Valid transactions not yet in ``log`` — the proposer hot path.
 
-        Equivalent to ``pending_for(log.transactions(), before)`` but
-        pays nothing proportional to the chain when the visible pool is
-        empty (the common case in long stable runs), and otherwise tests
-        membership against the log's cached transaction set instead of
-        materialising and re-hashing the full transaction list per view.
+        Exactly ``pending_for(log.transactions(), before)``, but
+        independent of history: the cut-off is a bisect over the
+        time-sorted index, and "visible entries not in ``log``" is
+        memoised on the log and derived from the nearest ancestor's memo
+        by looking only at the blocks in between.  The validity predicate
+        runs on the surviving candidates, on every call.
         """
 
-        visible = self.valid_transactions(before)
+        size = len(self._by_time)
+        visible = size if before is None else bisect_left(self._by_time, (before,))
         if not visible:
             return []
-        return [tx for tx in visible if not log.contains_transaction(tx)]
+        memo = log.pending_memo
+        if (
+            memo is None
+            or memo.pool is not self
+            or memo.pool_len != size
+            or memo.visible != visible
+        ):
+            memo = log.pending_memo = self._derive_memo(log, size, visible)
+        validity = self._validity
+        return [tx for tx in memo.pending if validity(tx)]
+
+    def _derive_memo(self, log: "Log", size: int, visible: int) -> PendingMemo:
+        """The memo for ``log`` at ``visible`` from the nearest usable one.
+
+        Usable means: about this pool at its current length, with a
+        cut-off no later than ours (``log`` itself qualifies when only the
+        cut-off moved).  With no such ancestor the base is the empty log
+        at cut-off zero, i.e. one scan of the visible entries and the
+        whole chain.
+        """
+
+        node = log
+        while node is not None:
+            base = node.pending_memo
+            if (
+                base is not None
+                and base.pool is self
+                and base.pool_len == size
+                and base.visible <= visible
+            ):
+                blocks = log.blocks[len(node) :]
+                break
+            node = node.parent
+        else:
+            base = PendingMemo(self, size, 0, (), frozenset())
+            blocks = log.blocks
+        in_log = set(base.early)
+        for block in blocks:
+            in_log.update(block.transactions)
+        pending = [tx for tx in base.pending if tx not in in_log]
+        transactions = self._transactions
+        fresh = [
+            tx
+            for _, tx_id in self._by_time[base.visible : visible]
+            if (tx := transactions[tx_id]) not in in_log
+        ]
+        if fresh:
+            pending += fresh
+            pending.sort(key=_tx_id)  # back to pool-insertion order
+        early: frozenset[Transaction] = frozenset()
+        if visible < size:
+            cutoff = self._by_time[visible]
+            early = frozenset(
+                tx for tx in in_log if (tx.submitted_at, tx.tx_id) >= cutoff
+            )
+        return PendingMemo(self, size, visible, tuple(pending), early)
 
 
 @dataclass

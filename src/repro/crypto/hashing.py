@@ -81,17 +81,26 @@ def canonical_str(s: str) -> bytes:
     return b"S%d:%s" % (len(data), data)
 
 
-def digest_tagged_strings(tag: str, inner: bytes, count: int) -> str:
-    """``stable_digest((tag, (s_1, ..., s_count)))`` from precomputed parts.
+def tagged_strings_hasher(tag: str, count: int) -> "hashlib._Hash":
+    """A hasher primed with the head of ``stable_digest((tag, (s_1, ..., s_count)))``.
 
-    ``inner`` must be the concatenation of ``canonical_str(s_i)`` for the
-    ``count`` strings.  Callers that extend a sequence one element at a
-    time (chain log ids) keep ``inner`` incrementally and avoid re-encoding
-    the whole sequence; the digest is byte-identical to the generic path.
+    Feed it ``canonical_str(s_i)`` for the first ``count - 1`` strings (in
+    any number of ``update`` calls) and close it with
+    :func:`finish_tagged_strings`.  The count sits *before* the sequence in
+    the canonical encoding, so a primed hasher serves every sequence of
+    that length sharing the fed prefix (``.copy()`` per sequence) but not a
+    longer one; the digest is byte-identical to the generic path.
     """
 
-    body = b"T2(" + canonical_str(tag) + b"T%d(" % count + inner + b"))"
-    return hashlib.sha256(body).hexdigest()
+    return hashlib.sha256(b"T2(" + canonical_str(tag) + b"T%d(" % count)
+
+
+def finish_tagged_strings(hasher: "hashlib._Hash", last: str) -> str:
+    """Feed the final string, close both tuples and return the hex digest."""
+
+    data = last.encode()
+    hasher.update(b"S%d:%s))" % (len(data), data))
+    return hasher.hexdigest()
 
 
 def digest_to_unit_float(digest: str) -> float:

@@ -12,12 +12,24 @@ the run must
 * produce decisions that match the full-retention run event-for-event
   (count, per-view earliest times, watermark metrics).
 
+The same horizon is where per-view *work* and the *process* heap used to
+grow with history (every proposal rescanned the pool, every ``Log``
+copied its id encoding), so two deterministic scaling guards ride along:
+doubling the horizon must double — not quadruple — the proposer's
+batching work, and the 512-view end heap stays under a fixed ceiling.
+
 CI runs this file explicitly so a regression that quietly re-attaches
-O(events) retention to bounded mode cannot slip through a green suite.
+O(events) retention to bounded mode, or O(history) cost to a proposal,
+cannot slip through a green suite.
 """
+
+import gc
+import tracemalloc
 
 import pytest
 
+from repro.chain.log import Log
+from repro.chain.transactions import TransactionPool
 from repro.harness import stable_scenario
 
 N = 8
@@ -75,3 +87,58 @@ class TestBoundedMemoryLongHorizon:
         assert bounded.highest_decision_per_validator() == {
             vid: log for vid, log in full.highest_decision_per_validator().items()
         }
+
+
+def one_tx_per_view_run(num_views, validity=None):
+    """The benchmark rig's ``sim-long-n8`` feed: one submission one tick
+    before each view, all pre-loaded, bounded retention."""
+
+    pool = TransactionPool(validity) if validity else TransactionPool()
+    protocol = stable_scenario(
+        n=N, num_views=num_views, delta=DELTA, seed=0, pool=pool, trace_mode="bounded"
+    )
+    view_ticks = protocol.config.time.view_ticks
+    for view in range(1, num_views - 3):
+        pool.submit(payload=f"tx-{view}", at_time=view * view_ticks - 1)
+    return protocol
+
+
+@pytest.mark.slow
+class TestHorizonFlatProposalPath:
+    def test_batching_work_is_linear_in_the_horizon(self, monkeypatch):
+        work = {"calls": 0}
+
+        def counting_validity(tx):
+            work["calls"] += 1
+            return True
+
+        contains = Log.contains_transaction
+
+        def counting_contains(log, tx):
+            work["calls"] += 1
+            return contains(log, tx)
+
+        monkeypatch.setattr(Log, "contains_transaction", counting_contains)
+        counts = {}
+        for num_views in (256, 512):
+            work["calls"] = 0
+            result = one_tx_per_view_run(num_views, counting_validity).run()
+            assert result.analysis.new_blocks == num_views
+            counts[num_views] = work["calls"]
+        # Every proposal batches O(pending) transactions: the count is
+        # proportional to the horizon.  A pool rescan makes it quadratic
+        # (4x for twice the views).
+        assert counts[256] >= N * 200
+        assert counts[512] <= 2.2 * counts[256]
+
+    def test_end_heap_at_512_views_stays_under_ceiling(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = one_tx_per_view_run(512).run()
+            end_heap, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.analysis.new_blocks == 512
+        # 118 MiB when every Log owned a copy of its id encoding.
+        assert end_heap <= 60 * 2**20

@@ -159,10 +159,18 @@ class TestFleetByteIdentity:
             while coordinator.committed_count < 200:
                 assert time.monotonic() < deadline, "fleet made no progress"
                 time.sleep(0.01)
-            os.kill(victim.pid, signal.SIGSTOP)
-            time.sleep(0.2)  # in-flight frames settle
-            held = coordinator.leases_held_by("chaos-runner-0")
-            assert held > 0, "victim held no leases at kill time"
+            held = 0
+            while not held:
+                assert time.monotonic() < deadline, "victim never froze holding a lease"
+                assert coordinator.committed_count < 1024, "sweep finished first"
+                os.kill(victim.pid, signal.SIGSTOP)
+                time.sleep(0.2)  # in-flight frames settle
+                held = coordinator.leases_held_by("chaos-runner-0")
+                if not held:
+                    # Frozen between committing one batch and being
+                    # granted the next: let it run on and try again.
+                    os.kill(victim.pid, signal.SIGCONT)
+                    time.sleep(0.05)
             os.kill(victim.pid, signal.SIGKILL)
 
             assert coordinator.wait(timeout=240.0), "fleet did not converge"

@@ -13,6 +13,8 @@ Three invariants keep the fast paths honest:
   conflicting forks.
 """
 
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +59,10 @@ def multi_pair_sets(draw):
     return frozenset(pairs), sender_count
 
 
+def full_rehash(log) -> str:
+    return stable_digest(("log", tuple(b.block_id for b in log.blocks)))
+
+
 class TestPrefixSharing:
     @given(block_trees())
     def test_shared_prefixes_equal_fresh_construction(self, logs):
@@ -97,6 +103,44 @@ class TestDigestCaching:
         for log in logs:
             expected = stable_digest(("log", tuple(b.block_id for b in log.blocks)))
             assert log.log_id == expected
+
+    @given(block_trees())
+    def test_eight_siblings_share_one_parent_hasher(self, logs):
+        for parent in logs:
+            siblings = [
+                parent.append_block([make_tx(40_000 + i)], proposer=i, view=77)
+                for i in range(8)
+            ]
+            assert len({s.log_id for s in siblings}) == 8
+            for sibling in siblings:
+                assert sibling.log_id == full_rehash(sibling)
+
+    @given(block_trees(), st.integers(1, 6))
+    def test_fork_below_the_head_of_a_grown_encoding(self, logs, growth):
+        # Grow one lineage well past ``base`` (its shared encoding now
+        # extends beyond every ancestor), then fork from each ancestor.
+        base = logs[-1]
+        head = base
+        for i in range(growth):
+            head = head.append_block([make_tx(50_000 + i)], proposer=0, view=80 + i)
+        for ancestor in head.all_prefixes():
+            fork = ancestor.append_block([make_tx(60_000)], proposer=1, view=99)
+            grandchild = fork.append_block([make_tx(60_001)], proposer=2, view=100)
+            assert fork.log_id == full_rehash(fork)
+            assert grandchild.log_id == full_rehash(grandchild)
+        # The forks copied; the original lineage still reads its own ids.
+        child = head.append_block([], proposer=3, view=101)
+        assert child.log_id == full_rehash(child)
+
+    @given(block_trees())
+    def test_log_id_survives_a_pickle_round_trip(self, logs):
+        thawed = pickle.loads(pickle.dumps(logs))
+        for before, after in zip(logs, thawed):
+            assert after.log_id == before.log_id == full_rehash(after)
+            assert after.blocks == before.blocks
+            assert hash(after) == hash(before)
+            child = after.append_block([make_tx(70_000)], proposer=0, view=90)
+            assert child.log_id == full_rehash(child)
 
     @given(block_trees(), st.integers(0, 15))
     def test_cached_payload_digest_matches_recomputation(self, logs, signer):

@@ -7,8 +7,9 @@ from repro.crypto.hashing import (
     _canonical,
     _flat_tuple_bytes,
     canonical_str,
-    digest_tagged_strings,
+    finish_tagged_strings,
     stable_digest,
+    tagged_strings_hasher,
 )
 from repro.crypto.signatures import KeyRegistry
 from repro.net.messages import Envelope, LogMessage
@@ -57,12 +58,15 @@ class TestHashingFastPath:
 
         assert stable_digest(obj) == hashlib.sha256(_canonical(obj)).hexdigest()
 
-    def test_digest_tagged_strings_matches_generic(self):
+    def test_tagged_strings_hasher_matches_generic(self):
         items = ("b" * 64, "c" * 64, "d" * 64)
-        inner = b"".join(canonical_str(s) for s in items)
-        assert digest_tagged_strings("log", inner, 3) == stable_digest(
-            ("log", items)
-        )
+        primed = tagged_strings_hasher("log", 3)
+        primed.update(b"".join(canonical_str(s) for s in items[:-1]))
+        # One primed hasher serves every sequence sharing the fed prefix.
+        for last in ("d" * 64, "e" * 64):
+            assert finish_tagged_strings(primed.copy(), last) == stable_digest(
+                ("log", items[:-1] + (last,))
+            )
 
     def test_bool_and_int_digests_stay_distinct(self):
         assert stable_digest((1,)) != stable_digest((True,))

@@ -1,10 +1,13 @@
 """Unit tests for blocks, logs, and the Section-3.2 prefix algebra."""
 
+import pickle
+
 import pytest
 
 from repro.chain.block import Block
 from repro.chain.genesis import GENESIS_BLOCK
 from repro.chain.log import Log, common_prefix, highest
+from repro.crypto.hashing import stable_digest
 from tests.conftest import chain_of, fork_of, make_tx
 
 
@@ -159,3 +162,41 @@ class TestCommonPrefixAndHighest:
     def test_highest_deterministic_on_ties(self):
         a, b = chain_of(2, tag=1), chain_of(2, tag=2)
         assert highest([a, b]) == highest([b, a])
+
+
+def full_rehash(log) -> str:
+    return stable_digest(("log", tuple(b.block_id for b in log.blocks)))
+
+
+class TestDeepChainPickling:
+    DEPTH = 4096
+
+    def test_deep_chain_pickles_and_thaws_without_recursing(self):
+        """The pickler would spend a few frames per parent link were it
+        not for the spine; thawing re-derives every id root first, each
+        from its parent's encoding, so nothing recurses per ancestor."""
+
+        log = Log.genesis()
+        for view in range(self.DEPTH):
+            log = log.append_block([make_tx(view)], proposer=view % 4, view=view)
+        thawed = pickle.loads(pickle.dumps(log))
+        assert len(thawed) == self.DEPTH + 1
+        assert thawed.log_id == log.log_id
+        assert thawed.blocks == log.blocks
+        assert thawed.log_id == full_rehash(log)
+        # Parent links survive, shared with the prefix cache.
+        assert thawed.parent is thawed.prefix(self.DEPTH)
+        assert [p.log_id for p in thawed.all_prefixes()] == [
+            p.log_id for p in log.all_prefixes()
+        ]
+        # Extending the thawed tip and a thawed mid-chain ancestor (a
+        # fork below the head of the shared encoding) still hashes right.
+        for base in (thawed, thawed.prefix(self.DEPTH // 2)):
+            child = base.append_block([], proposer=0, view=self.DEPTH)
+            assert child.log_id == full_rehash(child)
+
+    def test_state_is_tip_plus_parent(self):
+        log = chain_of(3)
+        spine, parent, tail = log.__getstate__()
+        assert (spine, parent, tail) == ((), log.prefix(3), log.tip)
+        assert Log(log.blocks).__getstate__() == ((), None, log.blocks)
