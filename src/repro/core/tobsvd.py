@@ -611,8 +611,14 @@ class TobSvdProtocol:
                 extend(old, new_num_views)
 
     def finish(self) -> TobSvdResult:
-        """Package the current state as a result (any time after start)."""
+        """Package the current state as a result (any time after start).
 
+        Fails with :class:`~repro.net.network.AwakeMaskError` if something
+        changed a validator's ``awake`` flag behind the network's back — a
+        stale asleep mask would have silently skipped a sleeping node.
+        """
+
+        self.network.check_awake_mask()
         return TobSvdResult(
             config=self.config,
             trace=self.trace,

@@ -75,12 +75,13 @@ class BaseValidator:
         ctx = getattr(network, "run_context", None)
         self._run_ctx = ctx if ctx is not None else RunContext()
         self._seen_envelopes: set[int] = set()
-        # Shared-dedup contract with Network._deliver_many: the network
-        # interns the shared envelope's token once per delivery batch,
-        # tests/updates this set directly, and only calls receive_new for
-        # genuinely new content.  Direct deliveries (self-delivery, sleep
-        # flush, targeted sends) still come through receive, which dedups
-        # against the same set.
+        # Shared-dedup contract with Network._deliver_mask: the network
+        # tests/updates this set directly, only calls receive_new for
+        # genuinely new content, and stops visiting this validator for an
+        # envelope once it has seen the token here.  Direct deliveries
+        # (self-delivery, sleep flush, targeted sends) still come through
+        # receive, which dedups against the same set.  In exchange
+        # ``awake`` may only change through Network.set_awake.
         self.dedup_tokens = self._seen_envelopes
 
     # -- messaging -----------------------------------------------------------

@@ -22,12 +22,15 @@ messages per sender, Section 3.3) in one place — the validator state layer.
 
 Shared-fanout delivery (PERFORMANCE.md): a broadcast or forward verifies
 its envelope once and delivers the *same* :class:`Envelope` object to all
-recipients.  When the delay policy declares a recipient-independent delay
-(a ``fixed_delay`` attribute, e.g. on
-:class:`~repro.net.delays.UniformDelay`), the whole fanout collapses to
-at most two scheduled events over precomputed recipient
-tuples — no per-recipient policy call, list building, or allocation — and
-delivery accounting is applied once per batch with identical totals.  The
+recipients.  Every registered node owns one bit (registration order = bit
+order) and a recipient plan is an ``int`` mask.  When the delay policy
+declares a recipient-independent delay (a ``fixed_delay`` attribute, e.g.
+on :class:`~repro.net.delays.UniformDelay`), the whole fanout collapses to
+at most two scheduled events — no per-recipient policy call, list
+building, or allocation.  At delivery the network skips every recipient it
+*knows* already holds the envelope (a per-token ``seen`` mask), so the
+duplicate copies of an echo storm cost a dict probe and a few bit-ops per
+batch; accounting is applied once per batch with identical totals.  The
 network also owns the run's :class:`~repro.runctx.RunContext`, handed to
 validators so hot dedup sets compare interned int tokens.
 """
@@ -51,14 +54,20 @@ _DELIVERY = EventPriority.DELIVERY
 class NetworkNode(Protocol):
     """What the network needs from a validator object.
 
-    A node may additionally expose ``dedup_tokens`` (a mutable set of
-    interned envelope tokens) together with ``receive_new(envelope,
-    time)``: the network then performs content dedup *once per shared
-    envelope* on the node's behalf — the token is interned once per
-    delivery batch and duplicate copies never pay a ``receive`` call.
-    Nodes without the attribute (or with it set to ``None``, e.g.
-    Byzantine observers that want every copy) receive every delivery via
-    plain :meth:`receive`.
+    A node may additionally expose ``dedup_tokens`` (a mutable,
+    grow-only set of interned envelope tokens, read once at
+    :meth:`Network.register`) together with ``receive_new(envelope,
+    time)``: the network then performs content dedup on the node's
+    behalf, and once it has itself seen the node hold a token while
+    awake it stops visiting the node for that envelope — duplicate
+    copies are counted, never delivered.  Nodes without the attribute
+    (or with it set to ``None``, e.g. Byzantine observers that want every
+    copy) are visited for every delivery via plain :meth:`receive`.
+
+    ``awake`` stays a plain attribute.  For a dedup-capable node it may
+    only change through :meth:`Network.set_awake` once registered (the
+    network mirrors it in a mask; :meth:`Network.check_awake_mask` fails a
+    run that bypassed it); always-visited nodes may flip it freely.
     """
 
     validator_id: int
@@ -87,6 +96,12 @@ class MessageStats:
         self.deliveries += count
         self.weighted_deliveries += envelope.size_units() * count
         self.by_type[type(envelope.payload).__name__] += count
+
+
+class AwakeMaskError(RuntimeError):
+    """A dedup-capable node's ``awake`` flag disagrees with the network's
+    asleep mask: something assigned it directly instead of calling
+    :meth:`Network.set_awake`."""
 
 
 class Network:
@@ -135,15 +150,23 @@ class Network:
         # One intern/lineage context per run; validators read it off the
         # network at construction (docs/ARCHITECTURE.md, "RunContext").
         self.run_context = RunContext()
-        # Shared-fanout recipient plans holding ``(node, dedup_set)``
-        # pairs, in registration order (the order the per-recipient loop
-        # would visit) — delivery then skips both the per-recipient
-        # id->node lookup and the dedup-capability probe.  Forward plans
-        # are per *forwarder* only (O(n) plans, not O(n²)); the original
-        # sender is skipped at delivery time by identity.  Rebuilt
-        # lazily; any register() call invalidates them.
-        self._bcast_segments: dict[int, tuple] = {}
-        self._fwd_plans: dict[int, tuple] = {}
+        # Mask plans: the node registered i-th owns bit i, ``_order[i]`` is
+        # its ``(node, dedup_set)`` pair.  ``_seen[token]`` holds the
+        # dedup-capable nodes this network has itself visited, awake, for
+        # that envelope; ``_always`` the nodes without ``dedup_tokens``.
+        # All of it is an accelerator — the nodes' own dedup sets and
+        # ``awake`` flags stay authoritative, and "unknown" means "visit".
+        self._order: list[tuple] = []
+        self._bit: dict[int, int] = {}
+        self._all = 0
+        self._asleep = 0
+        self._always = 0
+        self._seen: dict[int, int] = {}
+
+    def __getstate__(self):
+        """Snapshot pickling: an empty ``seen`` table is a semantic no-op."""
+
+        return {**self.__dict__, "_seen": {}}
 
     @property
     def delta(self) -> int:
@@ -154,13 +177,45 @@ class Network:
         return sorted(self._nodes)
 
     def register(self, node: NetworkNode) -> None:
-        """Attach a validator to the network."""
+        """Attach a validator to the network (it owns the next bit)."""
 
-        if node.validator_id in self._nodes:
-            raise ValueError(f"validator {node.validator_id} already registered")
-        self._nodes[node.validator_id] = node
-        self._bcast_segments.clear()
-        self._fwd_plans.clear()
+        vid = node.validator_id
+        if vid in self._nodes:
+            raise ValueError(f"validator {vid} already registered")
+        bit = 1 << len(self._order)
+        dedup = getattr(node, "dedup_tokens", None)
+        self._nodes[vid] = node
+        self._bit[vid] = bit
+        self._order.append((node, dedup))
+        self._all |= bit
+        if dedup is None:
+            self._always |= bit
+        if not node.awake:
+            self._asleep |= bit
+
+    def set_awake(self, validator_id: int, awake: bool) -> None:
+        """Flip a registered node's ``awake`` flag and the asleep mask.
+
+        The only place a dedup-capable node's flag may change: a stale
+        mask would let delivery skip a node that is in fact asleep.
+        """
+
+        self._nodes[validator_id].awake = awake
+        if awake:
+            self._asleep &= ~self._bit[validator_id]
+        else:
+            self._asleep |= self._bit[validator_id]
+
+    def check_awake_mask(self) -> None:
+        """Raise :class:`AwakeMaskError` if a dedup-capable node's
+        ``awake`` flag was changed behind :meth:`set_awake`'s back."""
+
+        for index, (node, dedup) in enumerate(self._order):
+            if dedup is not None and node.awake == bool(self._asleep >> index & 1):
+                raise AwakeMaskError(
+                    f"validator {node.validator_id}: awake={node.awake} but the "
+                    f"network's asleep mask says otherwise (use Network.set_awake)"
+                )
 
     def node(self, validator_id: int) -> NetworkNode:
         return self._nodes[validator_id]
@@ -217,50 +272,18 @@ class Network:
         self._registry.require_valid(envelope.signature, envelope.payload.digest())
         self.stats.sends += 1
         sender = envelope.sender
-        now = self._sim._now
-        delay = self._fixed_delay
-        if delay is not None:
-            # Recipient-independent delay: one batched event per
-            # contiguous segment around the sender's self-delivery.
-            before, sender_node, after = self._broadcast_segments(sender)
-            if before:
-                self._schedule_batch(now + delay, envelope, before)
-            if sender_node is not None:
-                self._deliver(sender, envelope)
-            if after:
-                self._schedule_batch(now + delay, envelope, after)
+        bit = self._bit.get(sender, 0)
+        if not bit:
+            self._fan_out(sender, envelope, self._all)
             return
         # Recipients before and after the sender form two contiguous
         # scheduling segments: the sender's synchronous self-delivery may
-        # itself schedule events (forwards), so each segment is flushed in
-        # place to keep the global (time, priority, seq) order identical to
-        # scheduling every recipient individually.
-        faults = self._msg_faults
-        groups: dict[int, list[int]] = {}
-        for vid in self._nodes:
-            if vid == sender:
-                if groups:
-                    self._flush_groups(now, sender, envelope, groups)
-                    groups = {}
-                self._deliver(vid, envelope)
-                continue
-            if faults is not None:
-                copies = faults.copies(sender, vid, envelope, now)
-                if copies == 0:
-                    self.fault_drops += 1
-                    continue
-            else:
-                copies = 1
-            delay = self._policy.delay(sender, vid, envelope, now)
-            if not self._preclamped:
-                delay = max(0, min(delay, self._delta))
-            bucket = groups.setdefault(delay, [])
-            bucket.append(vid)
-            if copies > 1:
-                self.fault_duplicates += 1
-                bucket.append(vid)
-        if groups:
-            self._flush_groups(now, sender, envelope, groups)
+        # itself schedule events (forwards), so each segment is scheduled
+        # in place to keep the global (time, priority, seq) order identical
+        # to scheduling every recipient individually.
+        self._fan_out(sender, envelope, bit - 1)
+        self._deliver(sender, envelope)
+        self._fan_out(sender, envelope, self._all & -(bit << 1))
 
     def forward(self, forwarder_id: int, envelope: Envelope) -> None:
         """Re-broadcast a received envelope on behalf of ``forwarder_id``.
@@ -272,46 +295,17 @@ class Network:
         """
 
         self.stats.sends += 1
-        now = self._sim._now
+        bit = self._bit.get
+        plan = self._all & ~(bit(forwarder_id, 0) | bit(envelope.signature.signer, 0))
         delay = self._fixed_delay
-        if delay is not None:
-            recipients = self._fwd_plans.get(forwarder_id)
-            if recipients is None:
-                recipients = self._fwd_plans[forwarder_id] = tuple(
-                    (node, getattr(node, "dedup_tokens", None))
-                    for vid, node in self._nodes.items()
-                    if vid != forwarder_id
-                )
-            if recipients:
-                skip = self._nodes.get(envelope.signature.signer)
-                self._sim.schedule_callback(
-                    now + delay,
-                    _DELIVERY,
-                    partial(self._deliver_many, recipients, envelope, skip),
-                )
-            return
-        faults = self._msg_faults
-        groups: dict[int, list[int]] = {}
-        for vid in self._nodes:
-            if vid == forwarder_id or vid == envelope.sender:
-                continue
-            if faults is not None:
-                copies = faults.copies(forwarder_id, vid, envelope, now)
-                if copies == 0:
-                    self.fault_drops += 1
-                    continue
-            else:
-                copies = 1
-            delay = self._policy.delay(forwarder_id, vid, envelope, now)
-            if not self._preclamped:
-                delay = max(0, min(delay, self._delta))
-            bucket = groups.setdefault(delay, [])
-            bucket.append(vid)
-            if copies > 1:
-                self.fault_duplicates += 1
-                bucket.append(vid)
-        if groups:
-            self._flush_groups(now, forwarder_id, envelope, groups)
+        if delay is None:
+            self._fan_out(forwarder_id, envelope, plan)
+        elif plan:  # _fan_out's fixed-delay case, inlined: n forwards per envelope
+            self._sim.schedule_callback(
+                self._sim._now + delay,
+                _DELIVERY,
+                partial(self._deliver_mask, plan, envelope),
+            )
 
     def send_direct(self, envelope: Envelope, recipient: int, delay: int) -> None:
         """Byzantine-only: a targeted send with an explicit delay.
@@ -330,94 +324,119 @@ class Network:
             partial(self._deliver, recipient, envelope),
         )
 
-    # -- fanout plans ------------------------------------------------------
+    def _fan_out(self, origin: int, envelope: Envelope, plan: int) -> None:
+        """Schedule ``envelope`` from ``origin`` to the recipients in ``plan``.
 
-    def _broadcast_segments(self, sender: int) -> tuple:
-        """Registration-order recipient nodes split around the sender.
-
-        Returns ``(before, sender_node, after)`` where the outer entries
-        are node tuples and ``sender_node`` is None for an unregistered
-        sender.
+        One batched delivery event per distinct delay: a single one under
+        a recipient-independent delay, otherwise one per delay the policy
+        (and the fault plan's drop / duplicate / spike decisions) assigns.
+        Within a batch recipients are visited in registration order — the
+        order individual per-recipient events would have executed in,
+        since their sequence numbers would have been consecutive.  A
+        duplicated copy is a bit of the batch's ``dup`` mask: the recipient
+        is visited twice *in place*.
         """
 
-        cached = self._bcast_segments.get(sender)
-        if cached is None:
-            pairs = [
-                (node, getattr(node, "dedup_tokens", None))
-                for node in self._nodes.values()
-            ]
-            sender_node = self._nodes.get(sender)
-            if sender_node is not None:
-                pivot = list(self._nodes).index(sender)
-                cached = (tuple(pairs[:pivot]), sender_node, tuple(pairs[pivot + 1 :]))
-            else:
-                cached = (tuple(pairs), None, ())
-            self._bcast_segments[sender] = cached
-        return cached
+        if not plan:
+            return
+        now = self._sim._now
+        schedule = self._sim.schedule_callback
+        delay = self._fixed_delay
+        if delay is not None:
+            schedule(now + delay, _DELIVERY, partial(self._deliver_mask, plan, envelope))
+            return
+        faults = self._msg_faults
+        policy_delay = self._policy.delay
+        groups: dict[int, int] = {}
+        dup = 0
+        for vid, bit in self._bit.items():
+            if not plan & bit:
+                continue
+            if faults is not None:
+                copies = faults.copies(origin, vid, envelope, now)
+                if copies == 0:
+                    self.fault_drops += 1
+                    continue
+                if copies > 1:
+                    self.fault_duplicates += 1
+                    dup |= bit
+            delay = policy_delay(origin, vid, envelope, now)
+            if not self._preclamped:
+                delay = max(0, min(delay, self._delta))
+            groups[delay] = groups.get(delay, 0) | bit
+        for delay, mask in groups.items():
+            schedule(
+                now + delay,
+                _DELIVERY,
+                partial(self._deliver_mask, mask, envelope, dup & mask),
+            )
 
     # -- delivery ----------------------------------------------------------
 
-    def _schedule_batch(self, time: int, envelope: Envelope, recipients: tuple) -> None:
-        self._sim.schedule_callback(
-            time,
-            _DELIVERY,
-            partial(self._deliver_many, recipients, envelope),
-        )
+    def _recipients(self, todo: int, dup: int) -> list:
+        """``(node, dedup_set)`` pairs for the bits of ``todo``, lowest first;
+        a ``dup`` bit yields its pair twice, in place."""
 
-    def _flush_groups(
-        self, now: int, origin: int, envelope: Envelope, groups: dict[int, list[int]]
-    ) -> None:
-        """Schedule one batched delivery event per distinct delay.
+        order = self._order
+        pairs: list = []
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            pair = order[low.bit_length() - 1]
+            pairs.append(pair)
+            if dup & low:
+                pairs.append(pair)
+        return pairs
 
-        Within a delay group recipients are visited in registration order —
-        the same order individual per-recipient events would have executed
-        in, since their sequence numbers would have been consecutive.
+    def _deliver_mask(self, plan: int, envelope: Envelope, dup: int = 0) -> None:
+        """Deliver one shared envelope to the nodes in ``plan``.
+
+        Only recipients that may still need the envelope are touched:
+        ``todo`` drops every dedup-capable, awake node already seen holding
+        it.  Skipped copies are counted like delivered ones, and accounting
+        is aggregated over the batch (identical totals to per-recipient
+        recording — counters are only read between events).
         """
 
-        nodes = self._nodes
-        for delay, vids in groups.items():
-            self._schedule_batch(
-                now + delay,
-                envelope,
-                tuple(
-                    (node, getattr(node, "dedup_tokens", None))
-                    for node in (nodes[vid] for vid in vids)
-                ),
-            )
-
-    def _deliver_many(
-        self, recipients: tuple, envelope: Envelope, skip: NetworkNode | None = None
-    ) -> None:
-        """Deliver one shared envelope to a batch of recipient nodes.
-
-        ``skip`` (a forward's original sender) is excluded by identity —
-        per-forwarder plans stay O(n) instead of O(n²) per run.
-        Accounting is aggregated over the batch (identical totals to
-        per-recipient recording — counters are only read between events).
-        """
-
-        now = self._sim._now
-        buffering = self._buffer_while_asleep
-        delivered = 0
-        token = -1  # interned lazily, once per batch of the shared envelope
-        for node, seen in recipients:
-            if node is skip:
-                continue
-            if not node.awake:
-                if buffering:
-                    self._pending[node.validator_id].append(envelope)
-                else:
-                    self.dropped_while_asleep += 1
-                continue
-            delivered += 1
-            if seen is None:
-                node.receive(envelope, now)
-                continue
-            if token == -1:
-                token = self.run_context.envelope_token(envelope)
-            if token not in seen:
-                seen.add(token)
-                node.receive_new(envelope, now)
+        always = self._always
+        visit = self._asleep | always
+        todo = plan
+        if plan & ~always:
+            # Inlined RunContext.envelope_token pin-read, once per batch.
+            ctx = self.run_context
+            pin = envelope.__dict__
+            if pin.get("_token_ctx") is ctx:
+                token = pin["_token"]
+            else:
+                token = ctx.envelope_token(envelope)
+            known = self._seen.get(token, 0)
+            todo &= ~known | visit
+        delivered = plan.bit_count() + dup.bit_count()
+        if todo:
+            now = self._sim._now
+            low = todo & -todo
+            if dup or (todo + low) & todo:
+                pairs = self._recipients(todo, dup)
+            else:
+                # One run of consecutive bits (a broadcast segment's first
+                # delivery, a lone observer or sleeper): a plain slice of
+                # the registration order beats walking bits.
+                pairs = self._order[low.bit_length() - 1 : todo.bit_length()]
+            for node, seen in pairs:
+                if not node.awake:
+                    delivered -= 1
+                    if self._buffer_while_asleep:
+                        self._pending[node.validator_id].append(envelope)
+                    else:
+                        self.dropped_while_asleep += 1
+                elif seen is None:
+                    node.receive(envelope, now)
+                elif token not in seen:
+                    seen.add(token)
+                    node.receive_new(envelope, now)
+            fresh = todo & ~visit
+            if fresh:
+                self._seen[token] = known | fresh
         if delivered:
             # record_deliveries, inlined for the per-batch hot path
             stats = self.stats

@@ -83,20 +83,20 @@ class SleepController:
         self._nodes[node.validator_id] = node
         vid = node.validator_id
         if vid in self._corruption.initial_byzantine:
-            node.awake = True
+            self._set_awake(vid, True)
             node.corrupted = True
         else:
-            node.awake = self._schedule.awake(vid, 0)
+            self._set_awake(vid, self._schedule.awake(vid, 0))
 
     def install(self, horizon: int) -> None:
         """Schedule every transition within ``[0, horizon]``."""
 
-        for vid, node in self._nodes.items():
+        for vid in self._nodes:
             if vid in self._corruption.initial_byzantine:
                 continue  # always awake, never transitions
             for time, becomes_awake in self._schedule.transition_times(vid, horizon):
                 if time == 0:
-                    node.awake = becomes_awake
+                    self._set_awake(vid, becomes_awake)
                     continue
                 if becomes_awake:
                     self._sim.schedule(
@@ -253,13 +253,19 @@ class SleepController:
 
     # -- transitions --------------------------------------------------------
 
+    def _set_awake(self, vid: int, awake: bool) -> None:
+        """Every awake transition goes through the network, which mirrors
+        the flag in the asleep mask its delivery plans consult."""
+
+        self._network.set_awake(vid, awake)
+
     def _wake(self, vid: int) -> None:
         if vid in self._crashed:
             return  # a crashed validator wakes at recovery, not on schedule
         node = self._nodes[vid]
         if node.corrupted:
             return  # Byzantine validators are always awake already
-        node.awake = True
+        self._set_awake(vid, True)
         self._network.flush_pending(vid)
         node.on_wake(self._sim.now)
         if self._bus is not None:
@@ -271,7 +277,7 @@ class SleepController:
             return
         if not node.awake:
             return  # already down (crashed mid-schedule)
-        node.awake = False
+        self._set_awake(vid, False)
         node.on_sleep(self._sim.now)
         if self._bus is not None:
             self._bus.emit_control(ControlEvent(self._sim.now, "sleep", vid))
@@ -284,7 +290,7 @@ class SleepController:
             return  # the model keeps Byzantine validators always awake
         self._crashed.add(vid)
         if node.awake:
-            node.awake = False
+            self._set_awake(vid, False)
             node.on_sleep(self._sim.now)
         if self._bus is not None:
             self._bus.emit_control(ControlEvent(self._sim.now, "crash", vid))
@@ -297,7 +303,7 @@ class SleepController:
         if node.corrupted:
             return
         if not node.awake and self._schedule.awake(vid, self._sim.now):
-            node.awake = True
+            self._set_awake(vid, True)
             self._network.flush_pending(vid)
             node.on_wake(self._sim.now)
         if self._bus is not None:
@@ -311,7 +317,7 @@ class SleepController:
         if node.corrupted:
             return
         node.corrupted = True
-        node.awake = True  # Byzantine validators remain always awake
+        self._set_awake(vid, True)  # Byzantine validators remain always awake
         self._network.flush_pending(vid)
         node.on_corrupted(self._sim.now)
         if self._bus is not None:

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro.chain.log import Log
+from repro.core.validator import BaseValidator
 from repro.crypto.signatures import KeyRegistry, Signature
+from repro.harness import stable_scenario
 from repro.net.delays import (
     AdversarialDelay,
     EagerDelay,
@@ -14,7 +16,7 @@ from repro.net.delays import (
     UniformDelay,
 )
 from repro.net.messages import Envelope, LogMessage, ProposalMessage, VoteMessage
-from repro.net.network import Network
+from repro.net.network import AwakeMaskError, Network
 from repro.crypto.vrf import VRF
 from repro.sim.simulator import Simulator
 from tests.conftest import chain_of
@@ -196,3 +198,218 @@ class TestNetwork:
         _sim, _registry, network, _nodes = build_network()
         with pytest.raises(ValueError):
             network.register(RecordingNode(0))
+
+
+class DedupNode(BaseValidator):
+    """A dedup-capable validator that records what it handles.
+
+    Its dedup set counts membership probes, so a test can tell a network
+    visit (one probe) from a skip on the ``seen`` mask (none).
+    """
+
+    class ProbeCountingSet(set):
+        probes = 0
+
+        def __contains__(self, token):
+            self.probes += 1
+            return super().__contains__(token)
+
+    def __init__(self, vid, registry, sim, network):
+        super().__init__(vid, registry.key_for(vid), sim, network, None)
+        self.dedup_tokens = self._seen_envelopes = self.ProbeCountingSet()
+        self.handled = []
+
+    def handle_envelope(self, envelope, time):
+        self.handled.append(envelope)
+
+
+def build_dedup_network(n=4, spare=1, **kwargs):
+    """``n`` registered DedupNodes; the registry holds ``spare`` more keys."""
+
+    sim = Simulator()
+    registry = KeyRegistry(n + spare, seed=0)
+    network = Network(sim, DELTA, registry, UniformDelay(DELTA), **kwargs)
+    nodes = [DedupNode(vid, registry, sim, network) for vid in range(n)]
+    for node in nodes:
+        network.register(node)
+    return sim, registry, network, nodes
+
+
+class DuplicateTo:
+    """Fault-plan stub: every send to one recipient is delivered twice."""
+
+    has_message_faults = True
+
+    def __init__(self, recipient):
+        self.recipient = recipient
+
+    def copies(self, sender, recipient, envelope, time):
+        return 2 if recipient == self.recipient else 1
+
+    def spike(self, sender, recipient, envelope, time):
+        return 0
+
+
+class TestMaskPlans:
+    def test_register_after_traffic_joins_later_broadcasts_only(self):
+        sim, registry, network, nodes = build_dedup_network(n=3)
+        first = signed(registry, 0, LogMessage(("k", 0), chain_of(1)))
+        network.broadcast(first)  # in flight: its plan predates the newcomer
+        late = DedupNode(3, registry, sim, network)
+        network.register(late)
+        sim.run_until(DELTA)
+        assert late.handled == []
+        second = signed(registry, 1, LogMessage(("k", 1), chain_of(1)))
+        network.broadcast(second)
+        network.forward(2, first)
+        sim.run_until(2 * DELTA)
+        assert late.handled == [second, first]
+        assert network.stats.deliveries == 3 + 4 + 2
+
+    def test_forward_by_unregistered_forwarder_reaches_all_but_signer(self):
+        sim, registry, network, nodes = build_dedup_network()
+        env = signed(registry, 0, LogMessage(("k", 0), chain_of(1)))
+        network.forward(99, env)
+        sim.run_until(DELTA)
+        assert [len(node.handled) for node in nodes] == [0, 1, 1, 1]
+
+    def test_forward_of_unregistered_signers_envelope_skips_only_forwarder(self):
+        sim, registry, network, nodes = build_dedup_network()
+        env = signed(registry, 4, LogMessage(("k", 0), chain_of(1)))  # spare key
+        network.forward(1, env)
+        sim.run_until(DELTA)
+        assert [len(node.handled) for node in nodes] == [1, 0, 1, 1]
+        assert network.stats.deliveries == 3
+
+    def test_duplicated_copy_reaches_an_observer_twice_in_place(self):
+        sim = Simulator()
+        registry = KeyRegistry(4, seed=0)
+        network = Network(
+            sim, DELTA, registry, UniformDelay(DELTA), fault_plan=DuplicateTo(2)
+        )
+        arrivals = []
+
+        class Watcher(RecordingNode):
+            def receive(self, envelope, time):
+                arrivals.append(self.validator_id)
+
+        for vid in range(4):
+            network.register(Watcher(vid))
+        network.broadcast(signed(registry, 0, LogMessage(("k", 0), chain_of(1))))
+        sim.run_until(DELTA)
+        assert arrivals == [0, 1, 2, 2, 3]
+        assert network.fault_duplicates == 1
+        assert network.stats.deliveries == 5
+
+    def test_duplicated_copy_to_a_sleeper_is_buffered_twice(self):
+        sim, registry, network, nodes = build_dedup_network(
+            fault_plan=DuplicateTo(2)
+        )
+        network.set_awake(2, False)
+        network.broadcast(signed(registry, 0, LogMessage(("k", 0), chain_of(1))))
+        sim.run_until(DELTA)
+        assert network.pending_count(2) == 2
+        assert network.stats.deliveries == 3  # self + two awake recipients
+        network.set_awake(2, True)
+        assert network.flush_pending(2) == 2
+        assert len(nodes[2].handled) == 1
+        assert network.stats.deliveries == 5
+
+    def test_envelope_learned_via_send_direct_is_visited_once_then_skipped(self):
+        sim, registry, network, nodes = build_dedup_network()
+        env = signed(registry, 0, LogMessage(("k", 0), chain_of(1)))
+        network.send_direct(env, recipient=1, delay=0)
+        sim.run_until(0)
+        assert nodes[1].handled == [env]
+        probes = nodes[1].dedup_tokens.probes
+        network.forward(2, env)  # the network has not seen node 1 hold it
+        sim.run_until(DELTA)
+        assert nodes[1].dedup_tokens.probes == probes + 1
+        network.forward(3, env)  # now it has: counted, not visited
+        sim.run_until(2 * DELTA)
+        assert nodes[1].dedup_tokens.probes == probes + 1
+        assert nodes[1].handled == [env]
+        assert network.stats.deliveries == 1 + 2 + 2
+
+    def test_envelope_learned_via_sleep_flush_is_visited_once_then_skipped(self):
+        sim, registry, network, nodes = build_dedup_network()
+        network.set_awake(1, False)
+        env = signed(registry, 0, LogMessage(("k", 0), chain_of(1)))
+        network.broadcast(env)
+        sim.run_until(DELTA)
+        network.set_awake(1, True)
+        assert network.flush_pending(1) == 1
+        probes = nodes[1].dedup_tokens.probes
+        for forwarder, expected in ((2, probes + 1), (3, probes + 1)):
+            network.forward(forwarder, env)
+            sim.run_until(sim.now + DELTA)
+            assert nodes[1].dedup_tokens.probes == expected
+        assert nodes[1].handled == [env]
+
+    def test_sleep_after_the_seen_bit_is_set_still_buffers(self):
+        sim, registry, network, nodes = build_dedup_network()
+        env = signed(registry, 0, LogMessage(("k", 0), chain_of(1)))
+        network.broadcast(env)
+        sim.run_until(DELTA)
+        assert nodes[1].handled == [env]  # the network saw node 1 take it
+        network.set_awake(1, False)
+        network.forward(2, env)
+        sim.run_until(2 * DELTA)
+        assert network.pending_count(1) == 1
+        assert network.stats.deliveries == 4 + 1  # node 3 only; node 1 asleep
+        network.set_awake(1, True)
+        assert network.flush_pending(1) == 1
+        assert network.stats.deliveries == 6
+        assert nodes[1].handled == [env]
+
+    def test_copy_dropped_while_asleep_does_not_mark_the_node_seen(self):
+        sim, registry, network, nodes = build_dedup_network(
+            buffer_while_asleep=False
+        )
+        network.set_awake(1, False)
+        env = signed(registry, 0, LogMessage(("k", 0), chain_of(1)))
+        network.broadcast(env)
+        sim.run_until(DELTA)
+        assert network.dropped_while_asleep == 1
+        network.set_awake(1, True)
+        network.forward(2, env)  # the echo is node 1's first real copy
+        sim.run_until(2 * DELTA)
+        assert nodes[1].handled == [env]
+
+
+class TestAwakeMask:
+    def test_set_awake_keeps_flag_and_mask_in_step(self):
+        _sim, _registry, network, nodes = build_dedup_network()
+        network.set_awake(2, False)
+        assert not nodes[2].awake
+        network.check_awake_mask()
+        network.set_awake(2, True)
+        assert nodes[2].awake
+        network.check_awake_mask()
+
+    def test_node_registered_asleep_is_known_asleep(self):
+        sim, registry, network, nodes = build_dedup_network(n=2, spare=1)
+        late = DedupNode(2, registry, sim, network)
+        late.awake = False  # not registered yet: nothing to mirror
+        network.register(late)
+        network.check_awake_mask()
+
+    def test_direct_poke_on_a_dedup_capable_node_is_caught(self):
+        _sim, _registry, network, nodes = build_dedup_network()
+        nodes[2].awake = False
+        with pytest.raises(AwakeMaskError, match="validator 2"):
+            network.check_awake_mask()
+
+    def test_plain_recording_nodes_may_poke_the_attribute(self):
+        _sim, _registry, network, nodes = build_network()
+        nodes[1].awake = False
+        network.check_awake_mask()
+
+    def test_finish_fails_a_run_whose_mask_went_stale(self):
+        protocol = stable_scenario(n=4, num_views=2)
+        protocol.start()
+        protocol.advance(protocol.config.horizon)
+        protocol.finish()  # consistent: passes
+        protocol.validators[3].awake = False  # bypasses Network.set_awake
+        with pytest.raises(AwakeMaskError, match="validator 3"):
+            protocol.finish()

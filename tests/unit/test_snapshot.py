@@ -113,6 +113,16 @@ def test_meta_rejects_unknown_version():
         SnapshotMeta.from_dict(data)
 
 
+def test_v2_blobs_are_rejected_not_thawed():
+    # v2 payloads pickle a Network without the mask-plan fields (and
+    # calendar callbacks bound to methods that no longer exist).
+    blob = warm_snapshot(build(n=4), "key", 3).to_bytes()
+    current = f'"version":{SNAPSHOT_VERSION}'.encode()
+    assert blob.count(current) == 1
+    with pytest.raises(SnapshotError, match="version 2"):
+        Snapshot.from_bytes(blob.replace(current, b'"version":2'))
+
+
 # -- fork soundness ----------------------------------------------------------
 
 
@@ -180,6 +190,83 @@ def test_capture_keeps_views_a_buffered_envelope_references():
     forked = fork(snap)
     forked.advance(forked.config.horizon)
     assert decisions_of(forked.finish()) == expected
+
+
+def _pending_batch_deliveries(protocol):
+    return [
+        callback
+        for callback in protocol.simulator.pending_callbacks()
+        if getattr(getattr(callback, "func", None), "__name__", "") == "_deliver_mask"
+    ]
+
+
+def test_mid_storm_capture_forks_to_the_genesis_run():
+    # Captured in the middle of an echo storm: forward batches (mask
+    # plans) are in the calendar and validator 4 is asleep with a
+    # non-empty buffer.  The network's seen table is left out of the blob,
+    # so the fork must rebuild its knowledge by visiting — and still end
+    # on exactly the genesis run's decisions, counters and event count.
+    from repro.core.tobsvd import TobSvdConfig, TobSvdProtocol
+    from repro.node.deploy import canonical_decision_bytes
+    from repro.node.runtime import decisions_as_records
+    from repro.sleepy.schedule import AwakeSchedule
+
+    def napping():
+        config = TobSvdConfig(n=5, num_views=10, delta=2, seed=3)
+        ticks = config.time.view_ticks
+        schedule = AwakeSchedule.nap(
+            5, sleeper=4, nap_start=2 * ticks + 1, nap_end=7 * ticks + 1
+        )
+        return TobSvdProtocol(config, schedule=schedule)
+
+    def fingerprint(protocol):
+        result = protocol.finish()
+        stats = result.network.stats
+        return (
+            {
+                vid: canonical_decision_bytes(decisions_as_records(v.decided))
+                for vid, v in result.validators.items()
+            },
+            decisions_of(result),
+            (stats.sends, stats.deliveries, stats.weighted_deliveries),
+            dict(stats.by_type),
+            result.simulator.events_processed,
+        )
+
+    genesis = napping()
+    genesis.run()
+
+    live = napping()
+    live.start()
+    # Vote phase of view 5 plus one hop: the votes have landed and every
+    # recipient's forward of them is in flight.
+    live.advance(live.config.time.view_start(5) + 2 * live.config.delta)
+    assert len(_pending_batch_deliveries(live)) >= live.config.n
+    assert live.network.pending_count(4) > 0
+    assert live.network._seen
+    snap = capture(live, "storm", 5)
+
+    thawed = snap.thaw()
+    assert thawed.network._seen == {}
+    assert thawed.network.pending_count(4) == live.network.pending_count(4)
+    thawed.network.check_awake_mask()  # the asleep mask travelled with the flag
+
+    forked = fork(snap)
+    forked.advance(forked.config.horizon)
+    assert fingerprint(forked) == fingerprint(genesis)
+
+
+def test_reachable_views_sees_envelopes_inside_mask_plan_callbacks():
+    from repro.snapshot import _reachable_views
+
+    protocol = build(n=5, num_views=8)
+    protocol.start()
+    time = protocol.config.time
+    protocol.advance(time.view_start(4) + 2 * protocol.config.delta)
+    assert not list(protocol.network.buffered_envelopes())  # calendar only
+    in_flight = _pending_batch_deliveries(protocol)
+    assert in_flight and all(len(c.args) == 2 for c in in_flight)  # (plan, envelope)
+    assert 4 in _reachable_views(protocol)
 
 
 def test_forks_are_isolated_from_each_other():

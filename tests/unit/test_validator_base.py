@@ -72,10 +72,10 @@ class TestBaseValidator:
         assert validators[1].handled == []
 
     def test_timer_skipped_when_asleep(self):
-        simulator, _network, validators = build()
+        simulator, network, validators = build()
         fired = []
         validators[0].schedule_timer(5, lambda: fired.append("a"))
-        validators[0].awake = False
+        network.set_awake(0, False)
         simulator.run_until(5)
         assert fired == []
 
