@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.chain.transactions import Transaction
-from repro.crypto.hashing import stable_digest
+from repro.crypto.hashing import block_digest
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,11 @@ class Block:
     block_id: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        digest = stable_digest(
-            (
-                "block",
-                self.parent_id,
-                tuple(tx.tx_id for tx in self.transactions),
-                self.proposer,
-                self.view,
-            )
+        digest = block_digest(
+            self.parent_id,
+            [tx.tx_id for tx in self.transactions],
+            self.proposer,
+            self.view,
         )
         object.__setattr__(self, "block_id", digest)
 

@@ -30,9 +30,10 @@ that three ways:
   then primes one hasher with that encoding and every child derives its
   ``log_id`` from a ``.copy()`` plus its own tip id.  The digests are
   byte-identical to hashing the full sequence from scratch;
-* **Trusted slices** — prefixes of a validated log and single-block
-  extensions skip parent-link re-validation (a contiguous slice of a
-  valid chain is valid by construction).
+* **Trusted slices** — prefixes of a validated log skip parent-link
+  re-validation (a contiguous slice of a valid chain is valid by
+  construction) and a single-block extension (``extend``, which
+  ``append_block`` goes through) checks the one new link.
 
 A log is an immutable *value*, but the caches above are mutable state
 shared along a lineage (extending a log appends to its ancestors'
@@ -189,12 +190,28 @@ class Log:
     ) -> "Log":
         """Extend this log with one new block batching ``transactions``."""
 
-        block = Block(
-            parent_id=self.tip.block_id,
-            transactions=tuple(transactions),
-            proposer=proposer,
-            view=view,
+        return self.extend(
+            Block(
+                parent_id=self.tip.block_id,
+                transactions=tuple(transactions),
+                proposer=proposer,
+                view=view,
+            )
         )
+
+    def extend(self, block: Block) -> "Log":
+        """Extend this log by an already-built ``block``, checking its parent link.
+
+        The child keeps the parent link, so its ``log_id`` comes from the
+        sibling hasher and the prefix caches are shared — what a decoder
+        that anchors a received chain at a log it already holds needs.
+        """
+
+        tip = self._blocks[-1]
+        if block.parent_id != tip.block_id:
+            raise ValueError(
+                f"broken parent link: {block!r} does not extend {tip!r}"
+            )
         return Log._trusted(self._blocks + (block,), parent=self)
 
     def prefix(self, length: int) -> "Log":

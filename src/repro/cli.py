@@ -1002,6 +1002,14 @@ def _cmd_deploy_local(args: argparse.Namespace) -> int:
         f"{deployment.total_decisions} decisions in {deployment.elapsed:.2f}s "
         f"({deployment.decisions_per_sec():.1f}/s){restarts}"
     )
+    for vid, node in sorted(deployment.nodes.items()):
+        if node["codec_rejects"]:
+            reasons = ", ".join(
+                f"{count} {reason}"
+                for reason, count in sorted(node["reject_reasons"].items())
+                if count
+            )
+            print(f"  node {vid}: refused {node['codec_rejects']} wire records ({reasons})")
     code = 0
     if not args.no_verify:
         plan = compile_deployment_plan(spec, config) if spec else None

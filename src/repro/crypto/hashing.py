@@ -74,6 +74,31 @@ def stable_digest(obj: Any) -> str:
     return hashlib.sha256(_canonical(obj)).hexdigest()
 
 
+def block_digest(parent_id: Any, tx_ids: list, proposer: Any, view: Any) -> str:
+    """``stable_digest(("block", parent_id, tuple(tx_ids), proposer, view))``.
+
+    One formatting pass for the only shape real blocks have — a ``str``
+    parent and ``int`` everything else — because the nested id tuple
+    keeps the generic call off :func:`_flat_tuple_bytes` and on the
+    recursive encoder.  Any other field type (``bool`` included) takes
+    the generic call, so the digest is byte-identical in every case.
+    """
+
+    count = len(tx_ids)
+    if (
+        type(parent_id) is str
+        and type(proposer) is int
+        and type(view) is int
+        and list(map(type, tx_ids)).count(int) == count
+    ):
+        parent = parent_id.encode()
+        data = b"T5(S5:blockS%d:%sT%d(%s)I%dI%d)" % (
+            len(parent), parent, count, b"I%d" * count % tuple(tx_ids), proposer, view,
+        )
+        return hashlib.sha256(data).hexdigest()
+    return stable_digest(("block", parent_id, tuple(tx_ids), proposer, view))
+
+
 def canonical_str(s: str) -> bytes:
     """The canonical encoding of one string (for incremental hashers)."""
 

@@ -10,7 +10,7 @@ configuration — including runs where a node is SIGKILLed and restarted
 mid-run.  See docs/ARCHITECTURE.md, "Real transport runtime".
 """
 
-from repro.node.codec import decode_envelope, encode_envelope
+from repro.node.codec import LineageMemo, decode_envelope, encode_envelope
 from repro.node.failure import FailureDetector
 from repro.node.holdback import HoldbackQueue
 from repro.node.runtime import NodeRuntime
@@ -18,6 +18,7 @@ from repro.node.runtime import NodeRuntime
 __all__ = [
     "FailureDetector",
     "HoldbackQueue",
+    "LineageMemo",
     "NodeRuntime",
     "decode_envelope",
     "encode_envelope",

@@ -63,7 +63,7 @@ from repro.faults import FaultPlan
 from repro.net.messages import Envelope
 from repro.net.network import MessageStats
 from repro.net.transport import Transport
-from repro.node.codec import CodecError, decode_envelope, encode_envelope
+from repro.node.codec import CodecError, LineageMemo, decode_envelope, encode_envelope
 from repro.node.failure import FailureDetector
 from repro.node.holdback import HoldbackQueue
 from repro.runctx import RunContext
@@ -257,13 +257,23 @@ class NodeRuntime:
         self._poll_interval = poll_interval
         self._progress_timeout = progress_timeout
         self._started = False
-        self.codec_rejects = 0
+        #: Verified logs this node has decoded, by tip block id: what lets
+        #: the codec hash only the blocks of a received log it has not seen.
+        self.lineage = LineageMemo()
+        #: Refused ``env`` frames and ``resync`` records, by reason.
+        self.reject_reasons = {"shape": 0, "codec": 0, "signature": 0}
 
     # -- lifecycle -----------------------------------------------------------
 
     @property
     def finished(self) -> bool:
         return self.tick > self.horizon
+
+    @property
+    def codec_rejects(self) -> int:
+        """Refused wire records, all reasons."""
+
+        return sum(self.reject_reasons.values())
 
     def start(self) -> None:
         """Install sleep-window CONTROL events and the validator's timers.
@@ -344,17 +354,31 @@ class NodeRuntime:
                     self.done[peer] = frontier
 
     def _ingest(self, wire: dict, deliver_tick: int) -> None:
+        """Decode, verify and hold back one wire record (``env`` or ``resync``).
+
+        Frames come from the network, so nothing a well-framed JSON value
+        can contain may raise out of here: an ill-typed field fails the
+        decode, the digest (which canonicalises it) or the signer lookup,
+        and each is a counted reject.
+        """
+
         if not isinstance(wire, dict) or not isinstance(deliver_tick, int):
-            self.codec_rejects += 1
+            self.reject_reasons["shape"] += 1
             return
         try:
-            envelope = decode_envelope(wire)
-            self.registry.require_valid(
-                envelope.signature, envelope.payload.digest()
-            )
-        except (CodecError, SignatureError, KeyError):
-            self.codec_rejects += 1
+            envelope = decode_envelope(wire, self.lineage)
+            digest = envelope.payload.digest()
+        except (CodecError, TypeError, ValueError):
+            self.reject_reasons["codec"] += 1
             return
+        try:
+            self.registry.require_valid(envelope.signature, digest)
+        except (SignatureError, TypeError):
+            self.reject_reasons["signature"] += 1
+            return
+        log = getattr(envelope.payload, "log", None)
+        if log is not None:
+            self.lineage.admit(log)
         self.holdback.offer(envelope, deliver_tick)
         self._retain(envelope.envelope_id, deliver_tick, wire)
 
@@ -483,6 +507,7 @@ class NodeRuntime:
             "deliveries": stats.deliveries,
             "holdback_duplicates": self.holdback.duplicates,
             "codec_rejects": self.codec_rejects,
+            "reject_reasons": dict(self.reject_reasons),
         }
 
 

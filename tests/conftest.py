@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.chain.log import Log
 from repro.chain.transactions import Transaction
@@ -36,3 +37,17 @@ def fork_of(log: Log, tag: int, proposer: int = 9) -> Log:
     return log.append_block(
         [make_tx(500_000 + tag, payload=f"fork-{tag}")], proposer=proposer, view=99
     )
+
+
+#: Any value a well-framed JSON message can carry in one field — what a
+#: hostile peer may put where the wire format expects an int or a string.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)

@@ -57,6 +57,23 @@ class TestLogConstruction:
         with pytest.raises(ValueError):
             Log((GENESIS_BLOCK, stray))
 
+    def test_extend_by_a_built_block_matches_the_raw_constructor(self):
+        chain = chain_of(3)
+        block = Block(
+            parent_id=chain.tip.block_id, transactions=(make_tx(9),), proposer=1, view=7
+        )
+        extended = chain.extend(block)
+        assert extended.log_id == Log(chain.blocks + (block,)).log_id
+        assert extended.blocks == chain.blocks + (block,)
+        assert extended.parent is chain
+        assert extended.prefix(len(chain)) is chain
+
+    def test_extend_rejects_a_block_that_names_another_parent(self):
+        chain = chain_of(3)
+        stray = Block(parent_id=chain.blocks[1].block_id, transactions=(), proposer=1, view=7)
+        with pytest.raises(ValueError):
+            chain.extend(stray)
+
     def test_prefix_constructor(self):
         log = chain_of(4)
         assert len(log.prefix(3)) == 3

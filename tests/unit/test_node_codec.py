@@ -24,7 +24,14 @@ from repro.net.messages import (
     StructuralVote,
     VoteMessage,
 )
-from repro.node.codec import CodecError, decode_envelope, encode_envelope
+from repro.node.codec import (
+    CodecError,
+    LineageMemo,
+    decode_envelope,
+    decode_log,
+    encode_envelope,
+    encode_log,
+)
 
 
 REGISTRY = KeyRegistry(4, seed=0)
@@ -120,3 +127,72 @@ class TestRejection:
     def test_non_dict_input_is_a_codec_error(self):
         with pytest.raises(CodecError):
             decode_envelope({"payload": "nope", "sig": {}})
+
+
+class TestLineageMemo:
+    """Decode against a memo: same logs, built from what is already held."""
+
+    @staticmethod
+    def wire_log(log: Log) -> list:
+        return json.loads(json.dumps(encode_log(log)))
+
+    def test_known_prefix_is_shared_not_rebuilt(self):
+        memo = LineageMemo()
+        base = decode_log(self.wire_log(sample_log()), memo)
+        memo.admit(base)
+        longer = sample_log().append_block((), proposer=3, view=2)
+        decoded = decode_log(self.wire_log(longer), memo)
+        assert decoded.log_id == longer.log_id
+        assert decoded.parent is base
+        assert decoded.blocks[:-1] == base.blocks
+        assert all(a is b for a, b in zip(decoded.blocks, base.blocks))
+
+    def test_decode_never_writes_the_memo(self):
+        memo = LineageMemo()
+        decode_log(self.wire_log(sample_log()), memo)
+        assert len(memo) == 1  # genesis only
+
+    def test_admit_holds_every_new_ancestor(self):
+        memo = LineageMemo()
+        memo.admit(decode_log(self.wire_log(sample_log()), memo))
+        assert len(memo) == len(sample_log())
+
+    def test_prefix_that_differs_from_the_held_log_is_rebuilt_from_the_wire(self):
+        memo = LineageMemo()
+        memo.admit(decode_log(self.wire_log(sample_log()), memo))
+        wire = self.wire_log(sample_log().append_block((), proposer=3, view=2))
+        wire[0]["txs"][0][1] = "another payload"  # same tx_id: every block id survives
+        decoded = decode_log(wire, memo)
+        assert decoded.log_id == decode_log(wire).log_id
+        assert decoded.blocks[1].transactions[0].payload == "another payload"
+
+    def test_parent_id_of_a_held_log_at_the_wrong_height_is_no_anchor(self):
+        memo = LineageMemo()
+        memo.admit(decode_log(self.wire_log(sample_log()), memo))
+        wire = self.wire_log(sample_log().append_block((), proposer=3, view=2))
+        with pytest.raises(CodecError):
+            decode_log(wire[1:], memo)  # entry 0 now names the block at height 1
+        with pytest.raises(CodecError):
+            decode_log(wire[1:])
+
+    def test_equal_but_differently_typed_field_is_not_a_match(self):
+        memo = LineageMemo()
+        memo.admit(decode_log(self.wire_log(sample_log()), memo))
+        wire = self.wire_log(sample_log().append_block((), proposer=3, view=2))
+        wire[0]["proposer"] = 2.0  # == 2, but hashes as a float: block 1's id moves
+        with pytest.raises(CodecError):
+            decode_log(wire, memo)
+
+    def test_oddly_typed_log_decodes_but_is_not_held(self):
+        wire = self.wire_log(sample_log())
+        wire[-1]["view"] = 1.0  # the tip may carry anything canonicalisable
+        memo = LineageMemo()
+        decoded = decode_log(wire, memo)
+        assert decoded.log_id == decode_log(wire).log_id
+        memo.admit(decoded)
+        assert len(memo) == len(sample_log()) - 1  # its plainly-typed ancestors only
+
+    def test_memos_are_independent(self):
+        one, other = LineageMemo(), LineageMemo()
+        one.admit(decode_log(self.wire_log(sample_log()), one))
+        assert len(other) == 1
