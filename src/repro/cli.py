@@ -1,6 +1,6 @@
 """The ``python -m repro`` command line.
 
-Ten subcommands front the experiment subsystem:
+Eight subcommands front the experiment subsystem:
 
 * ``run`` — execute one named scenario under a chosen trace-retention
   policy (``--trace full|bounded|off``, default bounded) and print live
@@ -12,7 +12,6 @@ Ten subcommands front the experiment subsystem:
   support;
 * ``table1`` — regenerate the paper's Table 1 (paper vs analytic model
   vs measured), ``--smoke`` for a seconds-long CI variant;
-* ``scenario`` — run one named scenario family and print its summary;
 * ``fleet`` — the multi-host sweep fabric: ``fleet coordinate`` serves
   a grid to remote runners over TCP, ``fleet run`` is one runner
   process, and ``fleet local --runners N`` does both on localhost in a
@@ -26,9 +25,7 @@ Ten subcommands front the experiment subsystem:
   address map (the per-host face of the real-transport runtime);
 * ``deploy local`` — ``n`` node processes over loopback TCP,
   byte-compared against the simulator oracle (``--chaos kill`` turns
-  planned crash windows into real SIGKILL + resync-on-respawn);
-* ``bench`` — the machine-readable micro/e2e benchmark harness
-  (delegates to ``benchmarks/run_benchmarks.py``).
+  planned crash windows into real SIGKILL + resync-on-respawn).
 
 Every command is deterministic given its arguments; none reads the wall
 clock or ambient RNG state (the ``run`` ticker reads the wall clock for
@@ -287,19 +284,18 @@ def _parse_fault_spec(text: str):
 
 
 def _build_scenario(args: argparse.Namespace, pool, trace_mode: str = "full"):
-    """Shared family dispatch for the ``run`` and ``scenario`` commands."""
+    """Family dispatch shared by ``run``, ``snapshot save`` and ``bisect``."""
 
     from repro.harness import scenarios
 
     fault_spec = None
-    faults_arg = getattr(args, "faults", None)
-    if faults_arg:
+    if args.faults:
         if args.family not in ("stable", "crash", "partition"):
             raise SystemExit(
                 f"error: --faults is not supported for the "
                 f"'{args.family}' family (use stable, crash, or partition)"
             )
-        fault_spec = _parse_fault_spec(faults_arg)
+        fault_spec = _parse_fault_spec(args.faults)
 
     common = dict(
         n=args.n, num_views=args.views, delta=args.delta, seed=args.seed,
@@ -402,7 +398,7 @@ def _load_snapshot_ref(ref: str, store_dir: str):
 
 
 def _report_resumed(protocol, result, elapsed: float) -> int:
-    """Post-run summary for a forked continuation (run/snapshot commands)."""
+    """Post-run summary for a forked continuation (``snapshot fork``)."""
 
     config = protocol.config
     analysis = protocol.observability.analysis
@@ -430,41 +426,11 @@ def _report_resumed(protocol, result, elapsed: float) -> int:
     return 0 if analysis.safety().safe else 1
 
 
-def _run_from_snapshot(args: argparse.Namespace) -> int:
-    """``repro run --from-snapshot``: resume a saved prefix to the horizon."""
-
-    import time as _time
-
-    from repro.snapshot import SnapshotError, fork
-
-    snapshot = _load_snapshot_ref(args.from_snapshot, args.snapshot_dir)
-    meta = snapshot.meta
-    fault_spec = _parse_fault_spec(args.faults) if args.faults else None
-    try:
-        protocol = fork(
-            snapshot, fault_spec=fault_spec, num_views=args.extend_views
-        )
-    except SnapshotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"run from snapshot {meta.snapshot_id}: forked at view {meta.view} "
-          f"(t={meta.tick}) n={meta.n} Δ={meta.delta} "
-          f"views={protocol.config.num_views} trace={meta.trace_mode}")
-    started = _time.perf_counter()
-    protocol.advance(protocol.config.horizon)
-    result = protocol.finish()
-    return _report_resumed(
-        protocol, result, max(_time.perf_counter() - started, 1e-9)
-    )
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.chain.transactions import TransactionPool
 
-    if args.from_snapshot:
-        return _run_from_snapshot(args)
     pool = TransactionPool()
     protocol = _build_scenario(args, pool, trace_mode=args.trace)
     observability = protocol.observability
@@ -544,42 +510,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scenario
-# ---------------------------------------------------------------------------
-
-
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.analysis.metrics import check_safety, count_new_blocks, voting_phases_per_block
-    from repro.chain.transactions import TransactionPool
-
-    pool = TransactionPool()
-    protocol = _build_scenario(args, pool)  # post-hoc command: full retention
-    view_ticks = protocol.config.time.view_ticks
-    txs = _submit_anchored_txs(pool, args.views, view_ticks, "scn")
-    result = protocol.run()
-    from repro.analysis.latency import confirmation_times_deltas
-
-    confirmed = confirmation_times_deltas(result.trace, txs, args.delta)
-    blocks = count_new_blocks(result.trace)
-    phases = voting_phases_per_block(result.trace, "tobsvd")
-    # Only the equivocating family actually corrupts validators; echoing
-    # f for the all-honest families would mislabel the run.
-    byz = f"f={args.f} " if args.family == "equivocating" else ""
-    print(f"scenario {args.family}: n={args.n} {byz}Δ={args.delta} "
-          f"views={args.views} seed={args.seed}")
-    print(f"  safety holds:          {check_safety(result.trace).safe}")
-    print(f"  decided blocks:        {blocks}/{args.views}")
-    print(f"  phases per block:      {phases}")
-    print(f"  confirmed txs:         {len(confirmed)}/{len(txs)}")
-    if confirmed:
-        from statistics import mean
-
-        print(f"  latency mean/min/max:  {mean(confirmed):.2f}Δ / "
-              f"{min(confirmed):.2f}Δ / {max(confirmed):.2f}Δ")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # snapshot / bisect
 # ---------------------------------------------------------------------------
 
@@ -597,7 +527,7 @@ def _cli_scenario_key(args: argparse.Namespace, trace_mode: str) -> str:
         else ""
     )
     faults = ""
-    if getattr(args, "faults", None):
+    if args.faults:
         spec = _parse_fault_spec(args.faults)
         faults = f"|faults={json.dumps(spec.to_dict(), sort_keys=True, separators=(',', ':'))}"
     return (
@@ -1039,40 +969,6 @@ def _cmd_deploy_local(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-
-def _find_benchmarks_driver() -> Path | None:
-    """Locate ``benchmarks/run_benchmarks.py`` (cwd first, then repo root)."""
-
-    candidates = [
-        Path.cwd() / "benchmarks" / "run_benchmarks.py",
-        Path(__file__).resolve().parents[2] / "benchmarks" / "run_benchmarks.py",
-    ]
-    for candidate in candidates:
-        if candidate.is_file():
-            return candidate
-    return None
-
-
-def _cmd_bench(bench_args: list[str]) -> int:
-    """Forward ``bench_args`` verbatim to the benchmark driver's ``main``."""
-
-    import importlib.util
-
-    driver = _find_benchmarks_driver()
-    if driver is None:
-        print("error: benchmarks/run_benchmarks.py not found (run from the repo root)",
-              file=sys.stderr)
-        return 2
-    spec = importlib.util.spec_from_file_location("repro_bench_driver", driver)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.main(bench_args)
-
-
-# ---------------------------------------------------------------------------
 # parser wiring
 # ---------------------------------------------------------------------------
 
@@ -1165,67 +1061,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "fault-free tobsvd cells (needs --snapshot-dir)")
     sweep.set_defaults(func=_cmd_sweep)
 
-    run = sub.add_parser(
-        "run",
-        help="execute one scenario with live streaming-reducer stats",
-    )
-    run.add_argument("family", nargs="?", default="stable",
-                     choices=("stable", "equivocating", "churn", "late-join",
-                              "bursty", "crash", "partition"))
-    run.add_argument("--n", type=int, default=8)
-    run.add_argument("--f", type=int, default=3,
-                     help="Byzantine count (equivocating only)")
-    run.add_argument("--views", type=int, default=64)
-    run.add_argument("--delta", type=int, default=2)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--attacker", default="equivocating-proposer",
-                     choices=ATTACKERS)
-    run.add_argument("--trace", choices=("full", "bounded", "off"),
-                     default="bounded",
-                     help="event retention: full recorder, bounded reducers "
-                     "only (default), or no observability at all")
-    run.add_argument("--stats-every", type=int, default=0,
-                     help="decisions between live stat lines (default 4n)")
-    run.add_argument("--faults", default=None, metavar="JSON|@FILE",
-                     help="FaultSpec as inline JSON or @path to a JSON file "
-                     "(stable, crash, and partition families); compiled "
-                     "deterministically from the spec and seed — with "
-                     "--from-snapshot, applied as a crash-only fork override")
-    run.add_argument("--from-snapshot", default=None, metavar="FILE|ID",
-                     help="skip the warm-up: resume a saved snapshot "
-                     "(a .snap file path, or an id in --snapshot-dir) "
-                     "instead of building the scenario; the family "
-                     "argument is ignored")
-    run.add_argument("--snapshot-dir", default="snapshots",
-                     help="store directory ids given to --from-snapshot "
-                     "resolve against")
-    run.add_argument("--extend-views", type=int, default=None,
-                     help="with --from-snapshot: extend the resumed run's "
-                     "horizon to this many views")
-    run.set_defaults(func=_cmd_run)
-
-    table1 = sub.add_parser("table1", help="regenerate the paper's Table 1")
-    table1.add_argument("--smoke", action="store_true",
-                        help="shrunk runs (seconds, CI-suitable)")
-    table1.set_defaults(func=_cmd_table1)
-
-    scenario = sub.add_parser("scenario", help="run one scenario family")
-    scenario.add_argument("family",
-                          choices=("stable", "equivocating", "churn", "late-join",
-                                   "bursty", "crash", "partition"))
-    scenario.add_argument("--n", type=int, default=8)
-    scenario.add_argument("--f", type=int, default=3,
-                          help="Byzantine count (equivocating only)")
-    scenario.add_argument("--views", type=int, default=8)
-    scenario.add_argument("--delta", type=int, default=2)
-    scenario.add_argument("--seed", type=int, default=0)
-    scenario.add_argument("--attacker", default="equivocating-proposer",
-                          choices=ATTACKERS)
-    scenario.set_defaults(func=_cmd_scenario)
-
     def add_family_args(target: argparse.ArgumentParser,
                         default_views: int = 8) -> None:
-        """Scenario-shape flags shared by snapshot save and bisect."""
+        """Scenario-shape flags shared by run, snapshot save and bisect."""
 
         target.add_argument("family", nargs="?", default="stable",
                             choices=("stable", "equivocating", "churn",
@@ -1242,6 +1080,24 @@ def build_parser() -> argparse.ArgumentParser:
         target.add_argument("--faults", default=None, metavar="JSON|@FILE",
                             help="FaultSpec as inline JSON or @path "
                             "(stable, crash, and partition families)")
+
+    run = sub.add_parser(
+        "run",
+        help="execute one scenario with live streaming-reducer stats",
+    )
+    add_family_args(run, default_views=64)
+    run.add_argument("--trace", choices=("full", "bounded", "off"),
+                     default="bounded",
+                     help="event retention: full recorder, bounded reducers "
+                     "only (default), or no observability at all")
+    run.add_argument("--stats-every", type=int, default=0,
+                     help="decisions between live stat lines (default 4n)")
+    run.set_defaults(func=_cmd_run)
+
+    table1 = sub.add_parser("table1", help="regenerate the paper's Table 1")
+    table1.add_argument("--smoke", action="store_true",
+                        help="shrunk runs (seconds, CI-suitable)")
+    table1.set_defaults(func=_cmd_table1)
 
     snapshot = sub.add_parser(
         "snapshot",
@@ -1438,24 +1294,11 @@ def build_parser() -> argparse.ArgumentParser:
                               help="write the full deployment JSON here")
     deploy_local.set_defaults(func=_cmd_deploy_local)
 
-    sub.add_parser(
-        "bench",
-        help="machine-readable benchmark harness "
-        "(all flags forwarded to benchmarks/run_benchmarks.py)",
-        add_help=False,
-    )
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
 
-    if argv is None:
-        argv = sys.argv[1:]
-    # ``bench`` forwards its flags verbatim (argparse REMAINDER mishandles
-    # leading optionals), so dispatch it before the main parser runs.
-    if argv and argv[0] == "bench":
-        return _cmd_bench(list(argv[1:]))
     args = build_parser().parse_args(argv)
     return args.func(args)

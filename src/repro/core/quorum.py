@@ -17,7 +17,6 @@ that chain shortest-first.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable
 
 from repro.chain.log import Log, common_prefix
@@ -89,30 +88,6 @@ def majority_chain(pairs: Iterable[Pair], sender_count: int) -> list[Log]:
     ]
     chain.sort(key=lambda item: item[0])
     return [rep.prefix(height) for height, rep in chain]
-
-
-def majority_chain_naive(pairs: Iterable[Pair], sender_count: int) -> list[Log]:
-    """Reference implementation of :func:`majority_chain` (prefix-set based).
-
-    Kept as the oracle for randomised property tests: it materialises every
-    prefix of every reported log and counts supporters per prefix ``Log``,
-    exactly as the fast path did before the tip-indexed rewrite.
-    """
-
-    pair_list = list(pairs)
-    if not pair_list or sender_count <= 0:
-        return []
-    supporters: dict[Log, set[int]] = defaultdict(set)
-    for sender, log in pair_list:
-        for prefix in log.all_prefixes():
-            supporters[prefix].add(sender)
-    chain = [
-        log
-        for log, senders in supporters.items()
-        if meets_quorum(len(senders), sender_count)
-    ]
-    chain.sort(key=len)
-    return chain
 
 
 def majority_tip(pairs: Iterable[Pair], sender_count: int) -> Log | None:

@@ -119,12 +119,11 @@ class FleetCoordinator:
         self._affinity_built = False
         self._lock = threading.Lock()
         self._done = threading.Event()
-        self._closing = False
+        self._closing = False  # no new connections
+        self._serving = True  # live connections still get replies
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
         self._conns: list[FrameConnection] = []
-        self._steady_started: float | None = None
-        self._finished_at: float | None = None
         self._connections_dropped = 0
         if self.table.all_committed:  # empty sweep: born finished
             self._done.set()
@@ -169,12 +168,12 @@ class FleetCoordinator:
         return self._done.is_set()
 
     def close(self, grace: float = 0.0) -> None:
-        """Stop serving: close the listener and every live connection.
+        """Stop accepting, then stop serving and close every connection.
 
-        With ``grace`` > 0, live connections get that long to drain
-        naturally first — runners poll once more, receive ``done``, say
-        goodbye and hang up — so remote runners exit cleanly instead of
-        seeing a connection reset.
+        With ``grace`` > 0, live connections are served for that long
+        first — runners poll once more, receive ``done``, say goodbye
+        and hang up — so remote runners exit cleanly instead of seeing
+        a connection reset.
         """
 
         self._closing = True
@@ -190,6 +189,7 @@ class FleetCoordinator:
                 if remaining <= 0:
                     break
                 thread.join(timeout=remaining)
+        self._serving = False
         for conn in list(self._conns):
             conn.close()
         for thread in self._threads:
@@ -225,19 +225,6 @@ class FleetCoordinator:
         with self._lock:
             return self.table.committed_count
 
-    @property
-    def elapsed_steady(self) -> float | None:
-        """Seconds from first grant eligibility to the last commit.
-
-        Excludes runner process start-up (the ``hold_until_runners``
-        barrier releases the clock), so ``fleet.cells_per_sec_*``
-        benchmarks measure the fabric, not interpreter spawn.
-        """
-
-        if self._steady_started is None or self._finished_at is None:
-            return None
-        return self._finished_at - self._steady_started
-
     # -- serving -------------------------------------------------------------
 
     def _accept_loop(self) -> None:
@@ -265,7 +252,7 @@ class FleetCoordinator:
 
         runner_id: str | None = None
         try:
-            while not self._closing:
+            while self._serving:
                 message = conn.recv()
                 if message is None or message.get("type") == "goodbye":
                     break
@@ -316,8 +303,6 @@ class FleetCoordinator:
                     < self.config.hold_until_runners
                 ):
                     return {"type": "wait", "retry_after": self.config.retry_after}
-                if self._steady_started is None:
-                    self._steady_started = now
                 max_cells = int(message.get("max_cells", self.config.batch_size))
                 batch = self.table.grant(runner, now, max(1, max_cells))
                 if batch:
@@ -387,6 +372,5 @@ class FleetCoordinator:
             if self.on_commit is not None:
                 self.on_commit(line)
             if self.table.all_committed:
-                self._finished_at = time.monotonic()
                 self._done.set()
         return {"type": "ack", "outcome": outcome}

@@ -41,7 +41,6 @@ class FleetSummary:
     cells_total: int
     cells_committed: int
     counters: dict = field(default_factory=dict)
-    elapsed_steady: float | None = None
 
     @property
     def complete(self) -> bool:
@@ -152,5 +151,4 @@ def run_fleet_local(
         cells_total=len(cells),
         cells_committed=counters["cells_committed"],
         counters=counters,
-        elapsed_steady=coordinator.elapsed_steady,
     )

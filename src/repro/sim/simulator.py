@@ -23,8 +23,8 @@ order — ``seq`` increases monotonically — and the dispatch loop
 restarts from the most urgent priority class after every callback,
 which reproduces exactly the ``(time, priority, seq)`` total order a
 heap would yield (see ``tests/property/test_scheduler_equivalence.py``,
-which checks the bucket queue against :class:`HeapSimulator`
-event-for-event, dense and sparse).
+which checks the bucket queue event-for-event, dense and sparse, against
+the heap scheduler kept as a test oracle in ``tests/naive_oracles.py``).
 
 The :class:`ScheduledEvent` handle is a ``__slots__`` object rather than
 an ``order=True`` dataclass, which keeps per-event allocation small on
@@ -371,85 +371,3 @@ class Simulator:
         """Number of not-yet-cancelled queued events (live counter, O(1))."""
 
         return self._live
-
-
-class HeapSimulator(Simulator):
-    """The pre-bucket-queue heap scheduler, kept as a reference oracle.
-
-    Semantically identical to :class:`Simulator`: a binary heap of
-    ``(time, priority, seq, event)`` tuples dispatched in ascending
-    order.  Retained so randomized equivalence tests can check the
-    bucket queue event-for-event against an independent implementation
-    (and for workloads with enormous sparse horizons, where a heap's
-    O(log n) pop beats a tick scan).
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        super().__init__(seed)
-        self._queue: list[tuple[int, int, int, ScheduledEvent]] = []
-
-    def schedule(
-        self,
-        time: int,
-        priority: EventPriority,
-        callback: Callable[[], None],
-        note: str = "",
-    ) -> ScheduledEvent:
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule event at {time} before current time {self._now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        event = ScheduledEvent(time, int(priority), seq, callback, note, self)
-        heapq.heappush(self._queue, (time, event.priority, seq, event))
-        self._live += 1
-        return event
-
-    def schedule_callback(
-        self, time: int, priority: EventPriority, callback: Callable[[], None]
-    ) -> None:
-        """Handle-free scheduling, via a full handle (reference semantics)."""
-
-        self.schedule(time, priority, callback)
-
-    def run_until(self, end_time: int) -> None:
-        if self._running:
-            raise RuntimeError("simulator is not re-entrant")
-        self._running = True
-        queue = self._queue
-        try:
-            while queue and queue[0][0] <= end_time:
-                event = heapq.heappop(queue)[3]
-                if event.cancelled:
-                    continue
-                event._sim = None
-                self._live -= 1
-                self._now = event.time
-                self._events_processed += 1
-                event.callback()
-            self._now = max(self._now, end_time)
-        finally:
-            self._running = False
-
-    def run_to_exhaustion(self, safety_limit: int = 10_000_000) -> None:
-        if self._running:
-            raise RuntimeError("simulator is not re-entrant")
-        self._running = True
-        queue = self._queue
-        processed = 0
-        try:
-            while queue:
-                event = heapq.heappop(queue)[3]
-                if event.cancelled:
-                    continue
-                event._sim = None
-                self._live -= 1
-                self._now = event.time
-                self._events_processed += 1
-                event.callback()
-                processed += 1
-                if processed > safety_limit:
-                    raise RuntimeError("event-loop safety limit exceeded")
-        finally:
-            self._running = False

@@ -93,6 +93,16 @@ class TestLoopbackEquivalence:
         assert deployment.restarts == {}
         assert deployment.total_decisions > 0
         assert deployment.decisions_per_sec() > 0
+        # Same traffic as the in-process hub, record for record: a
+        # transport that retransmits, drops or refuses records fails here
+        # as a count, not as a slower run.  ``reconnects`` is left out —
+        # a start-up connect race legitimately yields 1.
+        memory = run_memory_cluster(N4)
+        for vid, node in deployment.nodes.items():
+            for name in ("sends", "deliveries", "holdback_duplicates", "codec_rejects"):
+                assert node[name] == memory[vid][name], (vid, name)
+            assert len(node["link_stats"]) == N4.n - 1
+            assert all(link["drops"] == 0 for link in node["link_stats"].values())
 
     def test_tcp_n8_is_byte_identical(self):
         deployment = run_local_deployment(N8)

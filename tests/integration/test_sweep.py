@@ -205,7 +205,7 @@ class TestCli:
         assert all("cli-ls|tobsvd|n=6" in line for line in lines)
 
     def test_scenario_cli(self, capsys):
-        assert cli.main(["scenario", "late-join", "--n", "6", "--views", "6",
+        assert cli.main(["run", "late-join", "--n", "6", "--views", "6",
                          "--delta", "2"]) == 0
         out = capsys.readouterr().out
         assert "safety holds:          True" in out

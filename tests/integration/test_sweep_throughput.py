@@ -14,33 +14,36 @@ two properties the sweep engine promises:
 
 from __future__ import annotations
 
-import importlib.util
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.harness.executor import SweepExecutor
-from repro.harness.sweep import ResultStore, canonical_record, run_cell, run_sweep
+from repro.harness.sweep import (
+    ExperimentSpec,
+    ResultStore,
+    canonical_record,
+    run_cell,
+    run_sweep,
+)
 
 pytestmark = pytest.mark.slow
 
 
-def _bench_grid32_spec():
-    """The exact grid the ``sweep.*`` benchmarks measure, from the driver.
-
-    Imported rather than copied so retuning the benchmark grid keeps
-    this smoke validating what ``BENCH_PR5.json`` reports.
-    """
-
-    path = Path(__file__).resolve().parents[2] / "benchmarks" / "run_benchmarks.py"
-    spec = importlib.util.spec_from_file_location("bench_driver_grid_source", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module._sweep_grid32_spec()
-
-
-GRID32 = _bench_grid32_spec()
+# Small cells (n ∈ {4, 6}, 4 views) so orchestration cost — pool
+# lifecycle, dispatch IPC, per-cell scaffolding — is visible next to the
+# simulation work, mirroring the paper's many-small-runs grids.
+GRID32 = ExperimentSpec(
+    name="bench-grid32",
+    protocols=("tobsvd",),
+    ns=(4, 6),
+    fs=(0,),
+    deltas=(1, 2),
+    participations=("stable", "late-join"),
+    seeds=4,
+    num_views=4,
+    txs_per_cell=2,
+)
 
 # Conservative: the warm 2-worker engine measures ~200+ cells/sec on a
 # single-CPU container; 20 still catches an order-of-magnitude loss.

@@ -30,9 +30,10 @@ from repro.faults import FaultSpec
 from repro.net.delays import SplitDelay, UniformDelay
 from repro.net.messages import Envelope, LogMessage, RecoveryMessage
 from repro.net.network import Network
-from repro.sim.simulator import EventPriority, HeapSimulator, Simulator
+from repro.sim.simulator import EventPriority, Simulator
 from tests.conftest import chain_of
 from tests.naive_network import NaiveNetwork
+from tests.naive_oracles import HeapSimulator
 
 
 class RecordingNode:

@@ -7,10 +7,10 @@ Three invariants keep the fast paths honest:
   the raw block slices;
 * cached digests (payload digests, envelope ids, log ids) equal their
   from-scratch recomputations;
-* the tip-indexed :func:`majority_chain` agrees with the retained naive
-  prefix-materialising reference on arbitrary pair sets, including
-  equivocation-heavy inputs (one sender backing several logs) and
-  conflicting forks.
+* the tip-indexed :func:`majority_chain` agrees with the naive
+  prefix-materialising reference (:mod:`tests.naive_oracles`) on
+  arbitrary pair sets, including equivocation-heavy inputs (one sender
+  backing several logs) and conflicting forks.
 """
 
 import pickle
@@ -19,11 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.log import Log, common_prefix
-from repro.core.quorum import majority_chain, majority_chain_naive
+from repro.core.quorum import majority_chain
 from repro.crypto.hashing import stable_digest
 from repro.crypto.signatures import KeyRegistry
 from repro.net.messages import Envelope, LogMessage
 from tests.conftest import make_tx
+from tests.naive_oracles import majority_chain_naive
 
 REGISTRY = KeyRegistry(16, seed=7)
 

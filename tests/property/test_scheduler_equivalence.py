@@ -2,16 +2,18 @@
 
 The calendar/bucket queue in :mod:`repro.sim.simulator` claims to
 reproduce the exact ``(time, priority, seq)`` total order of the
-retained :class:`HeapSimulator`.  These tests drive both schedulers with
-the same randomized workload — nested scheduling from inside callbacks,
-zero-delay same-tick events at every priority, cancellations, bare
-fire-and-forget callbacks — and require identical execution traces.
+:class:`HeapSimulator` oracle (:mod:`tests.naive_oracles`).  These tests
+drive both schedulers with the same randomized workload — nested
+scheduling from inside callbacks, zero-delay same-tick events at every
+priority, cancellations, bare fire-and-forget callbacks — and require
+identical execution traces.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.simulator import EventPriority, HeapSimulator, Simulator
+from repro.sim.simulator import EventPriority, Simulator
+from tests.naive_oracles import HeapSimulator
 
 PRIORITIES = list(EventPriority)
 

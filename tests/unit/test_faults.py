@@ -217,6 +217,38 @@ class TestMessageDecisions:
             for s in range(4) for r in range(4) for t in (0, 7)
         )
 
+    def test_all_zero_plan_stays_off_the_message_path(self, monkeypatch):
+        # The disabled fault layer costs nothing because it is not there:
+        # no hook installed, no per-message decision made, and the run is
+        # event for event the plan-free run.
+        from repro.core.tobsvd import TobSvdConfig
+        from repro.faults import FaultPlan
+        from repro.harness import stable_scenario
+
+        def forbidden(self, *args):
+            raise AssertionError("a per-message fault decision was made")
+
+        for name in ("cut", "copies", "spike"):
+            monkeypatch.setattr(FaultPlan, name, forbidden)
+
+        shape = dict(n=8, num_views=4, delta=2, seed=0)
+        plan = FaultSpec().compile(
+            n=8, delta=2, horizon=TobSvdConfig(**shape).horizon
+        )
+        planned = stable_scenario(fault_plan=plan, **shape).run()
+        plain = stable_scenario(**shape).run()
+
+        assert planned.network._msg_faults is None
+        assert planned.simulator.events_processed == plain.simulator.events_processed
+
+        def decisions(result):
+            return [
+                (e.time, e.view, e.validator, e.log.log_id)
+                for e in result.trace.decisions
+            ]
+
+        assert decisions(planned) and decisions(planned) == decisions(plain)
+
     def test_rates_hit_expected_frequencies(self):
         plan = FaultSpec(seed=1, drop_rate=0.25).compile(n=8, delta=2, horizon=100)
         samples = [
