@@ -397,6 +397,20 @@ def _load_snapshot_ref(ref: str, store_dir: str):
     return snapshot
 
 
+def _report_faults(analysis, network) -> None:
+    """The injected-fault lines of a run summary (silent when nothing fired)."""
+
+    faults = analysis.fault_summary()
+    if any(faults.values()):
+        print(f"  injected faults:       {faults['crashes']} crashes, "
+              f"{faults['recoveries']} recoveries, "
+              f"{faults['partitions']} partitions, {faults['heals']} heals")
+    if network.fault_drops or network.fault_duplicates or network.fault_spikes:
+        print(f"  message faults:        {network.fault_drops} dropped, "
+              f"{network.fault_duplicates} duplicated, "
+              f"{network.fault_spikes} spiked")
+
+
 def _report_resumed(protocol, result, elapsed: float) -> int:
     """Post-run summary for a forked continuation (``snapshot fork``)."""
 
@@ -413,11 +427,7 @@ def _report_resumed(protocol, result, elapsed: float) -> int:
     mean = latency.mean_deltas(config.delta)
     print(f"  decided blocks:        {analysis.new_blocks}/{config.num_views}")
     print(f"  safety holds:          {analysis.safety().safe}")
-    faults = analysis.fault_summary()
-    if any(faults.values()):
-        print(f"  injected faults:       {faults['crashes']} crashes, "
-              f"{faults['recoveries']} recoveries, "
-              f"{faults['partitions']} partitions, {faults['heals']} heals")
+    _report_faults(analysis, result.network)
     print(f"  confirmed txs:         {latency.samples}")
     if mean is not None:
         print(f"  latency mean/min/max:  {mean:.2f}Δ / "
@@ -468,11 +478,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"  decisions:             {analysis.decision_count} "
           f"({analysis.decision_count / elapsed:,.0f}/sec)")
     print(f"  safety holds:          {analysis.safety().safe}")
-    faults = analysis.fault_summary()
-    if any(faults.values()):
-        print(f"  injected faults:       {faults['crashes']} crashes, "
-              f"{faults['recoveries']} recoveries, "
-              f"{faults['partitions']} partitions, {faults['heals']} heals")
+    _report_faults(analysis, result.network)
     phases = analysis.voting_phases_per_block("tobsvd")
     print(f"  phases per block:      {phases}")
     print(f"  confirmed txs:         {latency.samples}/{len(txs)}")

@@ -16,11 +16,13 @@ Two properties carry the determinism guarantee:
 * **Stateless per-message decisions.**  Whether one point-to-point
   delivery is dropped, duplicated or spiked is a keyed ``blake2b`` hash
   of ``(kind, sender, recipient, payload digest, send time)`` mapped to
-  ``[0, 1)``.  Decisions are therefore *order-independent*: the network
-  may evaluate them per recipient, batched, or in any interleaving and
-  the injected event stream is identical — which is what makes decisions
-  byte-identical whether injection runs through the shared-fanout hooks
-  or the inline per-recipient loop.
+  ``[0, 1)``.  Decisions are therefore *order-independent*, so the
+  network asks for them a fan-out at a time: :meth:`FaultPlan.decide`
+  answers one send with ``(kept, dup, spiked)`` recipient masks, and the
+  per-link ``cut`` / ``copies`` / ``spike`` stay as the definition it is
+  tested against.  Both draw from hashers primed once per ``(kind,
+  sender)`` with the key block and the preimage's prefix — the stream is
+  the one a fresh keyed hasher per draw gives.
 
 Partition semantics are **regional outages**: the isolated minority is
 also crashed (asleep) for the window, because a symmetric partition with
@@ -278,6 +280,10 @@ def _merge_crash_windows(windows: list[CrashWindow]) -> tuple[CrashWindow, ...]:
     return tuple(sorted(merged, key=lambda w: (w.start, w.validator)))
 
 
+_KINDS = ("drop", "dup", "spike")
+_DROP, _DUP, _SPIKE = range(3)
+
+
 class FaultPlan:
     """A compiled, immutable fault schedule plus stateless message faults.
 
@@ -288,7 +294,7 @@ class FaultPlan:
 
     __slots__ = (
         "spec", "n", "delta", "horizon", "crash_windows", "partition_windows",
-        "_key", "_drop", "_dup", "_spike_rate", "_spike_ticks",
+        "_key", "_rates", "spike_ticks", "_cuts", "_primed", "_orders",
     )
 
     def __init__(
@@ -309,10 +315,25 @@ class FaultPlan:
         self._key = hashlib.sha256(
             (spec.canonical_key + "|msg").encode()
         ).digest()[:32]
-        self._drop = spec.drop_rate
-        self._dup = spec.duplicate_rate
-        self._spike_rate = spec.delay_spike_rate
-        self._spike_ticks = spec.delay_spike_deltas * delta
+        #: Extra delivery ticks of a spiked send.
+        self.spike_ticks = spike_ticks = spec.delay_spike_deltas * delta
+        # By kind; a spike of zero ticks is no fault, so it is never drawn.
+        spike_rate = spec.delay_spike_rate if spike_ticks else 0.0
+        self._rates = (spec.drop_rate, spec.duplicate_rate, spike_rate)
+        # One isolated-set mask per partition window, bit ``vid`` per member.
+        self._cuts = tuple(
+            (w.start, w.heal, sum(1 << vid for vid in w.isolated))
+            for w in partition_windows
+        )
+        # Derived lazily, never pickled (``hashlib`` objects cannot be): the
+        # primed hashers per sender, what :meth:`decide` walks per recipient
+        # order.  Neither changes what the plan decides.
+        self._primed: dict[int, tuple] = {}
+        self._orders: dict[tuple[int, ...], tuple] = {}
+
+    def __reduce__(self):
+        return FaultPlan, (self.spec, self.n, self.delta, self.horizon,
+                           self.crash_windows, self.partition_windows)
 
     @property
     def plan_id(self) -> str:
@@ -323,18 +344,13 @@ class FaultPlan:
 
     @property
     def has_message_faults(self) -> bool:
-        """Whether the network must route sends through the fault hooks.
+        """Whether the network must ask :meth:`decide` about its fan-outs.
 
         False keeps the shared-fanout fast path fully enabled — the whole
         per-message layer then costs one attribute check per broadcast.
         """
 
-        return bool(
-            self._drop
-            or self._dup
-            or (self._spike_rate and self._spike_ticks)
-            or self.partition_windows
-        )
+        return bool(any(self._rates) or self.partition_windows)
 
     # -- process-level chaos (node runtime reuse) ----------------------------
 
@@ -374,29 +390,44 @@ class FaultPlan:
 
     # -- stateless per-message decisions ------------------------------------
 
-    def _unit(self, kind: str, sender: int, recipient: int, digest: str, time: int) -> float:
-        return _unit_hash(self._key, f"{kind}|{sender}|{recipient}|{digest}|{time}")
+    def _prime(self, sender: int) -> tuple:
+        """``sender``'s hasher per kind (None at rate zero), holding the key
+        block and the ``"{kind}|{sender}|"`` prefix of the draw's preimage."""
+
+        primed = self._primed[sender] = tuple(
+            hashlib.blake2b(f"{kind}|{sender}|".encode(), key=self._key, digest_size=8)
+            if rate else None
+            for kind, rate in zip(_KINDS, self._rates)
+        )
+        return primed
+
+    def _hit(self, kind: int, sender: int, recipient: int, envelope: "Envelope", time: int) -> bool:
+        """One draw: keyed blake2b of ``kind|sender|recipient|digest|time``
+        mapped to ``[0, 1)`` and compared with the kind's rate."""
+
+        rate = self._rates[kind]
+        if not rate:
+            return False
+        hasher = (self._primed.get(sender) or self._prime(sender))[kind].copy()
+        hasher.update(f"{recipient}|{envelope.payload.digest()}|{time}".encode())
+        return int.from_bytes(hasher.digest(), "big") / _U64 < rate
 
     def cut(self, sender: int, recipient: int, time: int) -> bool:
         """Is the ``sender -> recipient`` link severed by a partition at ``time``?"""
 
-        for window in self.partition_windows:
-            if window.start <= time < window.heal:
-                if (sender in window.isolated) != (recipient in window.isolated):
-                    return True
+        for start, heal, isolated in self._cuts:
+            if start <= time < heal and (isolated >> sender ^ isolated >> recipient) & 1:
+                return True
         return False
 
     def copies(self, sender: int, recipient: int, envelope: "Envelope", time: int) -> int:
         """How many copies of this delivery to schedule: 0 (drop), 1 or 2."""
 
-        if self.partition_windows and self.cut(sender, recipient, time):
+        if self.cut(sender, recipient, time):
             return 0
-        digest = envelope.payload.digest()
-        if self._drop and self._unit("drop", sender, recipient, digest, time) < self._drop:
+        if self._hit(_DROP, sender, recipient, envelope, time):
             return 0
-        if self._dup and self._unit("dup", sender, recipient, digest, time) < self._dup:
-            return 2
-        return 1
+        return 2 if self._hit(_DUP, sender, recipient, envelope, time) else 1
 
     def spike(self, sender: int, recipient: int, envelope: "Envelope", time: int) -> int:
         """Extra delivery ticks for this send (0 = no spike).
@@ -406,12 +437,68 @@ class FaultPlan:
         promises.
         """
 
-        if not self._spike_rate or not self._spike_ticks:
-            return 0
-        digest = envelope.payload.digest()
-        if self._unit("spike", sender, recipient, digest, time) < self._spike_rate:
-            return self._spike_ticks
-        return 0
+        return self.spike_ticks if self._hit(_SPIKE, sender, recipient, envelope, time) else 0
+
+    def _order(self, ids: tuple[int, ...]) -> tuple:
+        """What :meth:`decide` walks for one recipient order: per recipient
+        its bit and preimage field, per partition window its bit-order mask."""
+
+        order = self._orders[ids] = (
+            [(1 << index, f"{vid}|".encode()) for index, vid in enumerate(ids)],
+            [
+                (start, heal, isolated,
+                 sum(1 << index for index, vid in enumerate(ids) if isolated >> vid & 1))
+                for start, heal, isolated in self._cuts
+            ],
+        )
+        return order
+
+    def decide(
+        self, origin: int, ids: tuple[int, ...], plan: int, envelope: "Envelope", time: int
+    ) -> tuple[int, int, int]:
+        """The fault decisions of one fan-out, as ``(kept, dup, spiked)`` masks.
+
+        ``ids`` lists the network's validator ids in bit order and ``plan``
+        has a bit set per addressed recipient.  ``kept`` is ``plan`` minus
+        cut and dropped recipients, ``dup`` the kept ones that get a second
+        copy, ``spiked`` the kept ones delivered :attr:`spike_ticks` late —
+        bit for bit what :meth:`copies` and, for kept recipients,
+        :meth:`spike` answer per link.
+        """
+
+        pairs, cuts = self._orders.get(ids) or self._order(ids)
+        kept = plan
+        for start, heal, isolated, mask in cuts:
+            if start <= time < heal:
+                kept &= mask if isolated >> origin & 1 else ~mask
+        drop_rate, dup_rate, spike_rate = self._rates
+        if not (drop_rate or dup_rate or spike_rate):
+            return kept, 0, 0
+        drop_hash, dup_hash, spike_hash = self._primed.get(origin) or self._prime(origin)
+        rest = f"{envelope.payload.digest()}|{time}".encode()
+        to_int = int.from_bytes
+        dup = spiked = 0
+        for bit, field in pairs:
+            if not kept & bit:
+                continue
+            data = field + rest
+            if drop_hash is not None:
+                hasher = drop_hash.copy()
+                hasher.update(data)
+                if to_int(hasher.digest(), "big") / _U64 < drop_rate:
+                    kept ^= bit
+                    continue
+            if dup_hash is not None:
+                hasher = dup_hash.copy()
+                hasher.update(data)
+                if to_int(hasher.digest(), "big") / _U64 < dup_rate:
+                    dup |= bit
+            if spike_hash is not None:
+                hasher = spike_hash.copy()
+                hasher.update(data)
+                if to_int(hasher.digest(), "big") / _U64 < spike_rate:
+                    spiked |= bit
+        return kept, dup, spiked
 
     def describe(self) -> dict:
         """JSON-able summary (CLI reporting)."""

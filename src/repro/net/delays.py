@@ -23,9 +23,11 @@ class DelayPolicy(Protocol):
     ticks, independent of sender, recipient, envelope and time.  The
     network reads it once per policy installation and uses it to collapse
     a whole fanout into one batched delivery event (shared-fanout fast
-    path); policies without the attribute fall back to the per-recipient
-    :meth:`delay` loop, so the hook is purely an optimisation and must
-    agree with :meth:`delay`.
+    path; a fault plan's spiked recipients form a second); policies
+    without it are asked per recipient — about those a fault plan keeps,
+    in registration order — so the attribute is purely an optimisation and
+    must agree with :meth:`delay`.  The network clamps the answer to Delta
+    and adds a fault plan's spike ticks itself.
     """
 
     def delay(
@@ -92,37 +94,6 @@ class SplitDelay:
         if recipient in self._fast:
             return self._fast_ticks
         return self._delta
-
-
-class FaultyDelay:
-    """A base policy plus a fault plan's deterministic delay spikes.
-
-    Installed by the network when a :class:`repro.faults.FaultPlan` with
-    message faults is active.  The base delay is Δ-clamped *here* and the
-    plan's spike ticks are added on top — spikes may deliberately exceed
-    the Δ bound (fault injection probes behaviour outside the promised
-    synchrony), which is why this wrapper declares ``preclamped``: the
-    network must not re-clamp the sum.  No ``fixed_delay`` attribute is
-    ever exposed, so the shared-fanout fast path stays disabled while
-    message faults are live and every send visits the per-recipient
-    fault hooks.
-    """
-
-    preclamped = True
-
-    def __init__(self, base: DelayPolicy, plan, delta: int) -> None:
-        self._base = base
-        self._plan = plan
-        self._delta = delta
-
-    @property
-    def base(self) -> DelayPolicy:
-        return self._base
-
-    def delay(self, sender: int, recipient: int, envelope: Envelope, send_time: int) -> int:
-        base = self._base.delay(sender, recipient, envelope, send_time)
-        base = max(0, min(base, self._delta))
-        return base + self._plan.spike(sender, recipient, envelope, send_time)
 
 
 MatchFn = Callable[[int, int, Envelope, int], bool]

@@ -30,7 +30,10 @@ at most two scheduled events — no per-recipient policy call, list
 building, or allocation.  At delivery the network skips every recipient it
 *knows* already holds the envelope (a per-token ``seen`` mask), so the
 duplicate copies of an echo storm cost a dict probe and a few bit-ops per
-batch; accounting is applied once per batch with identical totals.  The
+batch; accounting is applied once per batch with identical totals.
+Message faults work on the same masks: a live fault plan is asked once per
+fan-out (:meth:`repro.faults.FaultPlan.decide`) which recipients it
+keeps, duplicates and spikes, and the kept ones are grouped by delay.  The
 network also owns the run's :class:`~repro.runctx.RunContext`, handed to
 validators so hot dedup sets compare interned int tokens.
 """
@@ -125,9 +128,11 @@ class Network:
         (:mod:`repro.core.recovery`) to catch up.
 
         ``fault_plan`` (a compiled :class:`repro.faults.FaultPlan`, or
-        None) injects deterministic message faults: partition cuts and
-        drops remove deliveries, duplication schedules a second copy,
-        delay spikes ride in via :class:`~repro.net.delays.FaultyDelay`.
+        None) injects deterministic message faults, decided once per
+        fan-out (:meth:`~repro.faults.FaultPlan.decide`) as recipient
+        masks: partition cuts and drops leave the kept mask, a duplicate is
+        a bit of the batch's ``dup`` mask, and spiked recipients are
+        delivered ``spike_ticks`` after the Δ-clamped base delay.
         A plan without message faults — or no plan, the default — leaves
         every fast path untouched; the disabled layer costs one
         attribute check per broadcast.  Self-delivery and Byzantine
@@ -139,7 +144,7 @@ class Network:
         self._delta = delta
         self._registry = registry
         self.fault_plan = fault_plan
-        self._install_policy(delay_policy)
+        self.set_delay_policy(delay_policy)
         self._buffer_while_asleep = buffer_while_asleep
         self._nodes: dict[int, NetworkNode] = {}
         self._pending: dict[int, list[Envelope]] = defaultdict(list)
@@ -147,17 +152,19 @@ class Network:
         self.dropped_while_asleep = 0
         self.fault_drops = 0
         self.fault_duplicates = 0
+        self.fault_spikes = 0
         # One intern/lineage context per run; validators read it off the
         # network at construction (docs/ARCHITECTURE.md, "RunContext").
         self.run_context = RunContext()
         # Mask plans: the node registered i-th owns bit i, ``_order[i]`` is
-        # its ``(node, dedup_set)`` pair.  ``_seen[token]`` holds the
-        # dedup-capable nodes this network has itself visited, awake, for
+        # its ``(node, dedup_set)`` pair, ``_ids[i]`` its id.  ``_seen[token]``
+        # holds the dedup-capable nodes this network itself visited, awake, for
         # that envelope; ``_always`` the nodes without ``dedup_tokens``.
         # All of it is an accelerator — the nodes' own dedup sets and
         # ``awake`` flags stay authoritative, and "unknown" means "visit".
         self._order: list[tuple] = []
         self._bit: dict[int, int] = {}
+        self._ids: tuple[int, ...] = ()
         self._all = 0
         self._asleep = 0
         self._always = 0
@@ -186,6 +193,7 @@ class Network:
         dedup = getattr(node, "dedup_tokens", None)
         self._nodes[vid] = node
         self._bit[vid] = bit
+        self._ids += (vid,)
         self._order.append((node, dedup))
         self._all |= bit
         if dedup is None:
@@ -221,42 +229,24 @@ class Network:
         return self._nodes[validator_id]
 
     def set_delay_policy(self, policy: DelayPolicy) -> None:
-        """Swap the delay policy (used by adversaries mid-run)."""
+        """Install the delay policy (adversaries swap it mid-run).
 
-        self._install_policy(policy)
-
-    def _install_policy(self, policy: DelayPolicy) -> None:
-        """Install ``policy``, wrapping it in the fault layer when active.
-
-        With message faults live the effective policy is a
-        :class:`~repro.net.delays.FaultyDelay` (Δ-clamps the base, adds
-        spikes, exposes no ``fixed_delay``) and ``_msg_faults`` points at
-        the plan so broadcast/forward consult the drop/duplicate hooks;
-        otherwise the policy is installed as-is and ``_msg_faults`` is
-        None — the zero-overhead-when-disabled path.
+        ``_base_delay`` is the policy's declared recipient-independent
+        delay, Δ-clamped (None when it has to be asked per recipient).
+        It is also ``_fixed_delay`` — the whole-fan-out-in-one-event fast
+        path — unless the fault plan has message faults: then
+        ``_msg_faults`` points at the plan and every fan-out asks it first.
         """
 
-        self._base_policy = policy
-        plan = self.fault_plan
-        if plan is not None and plan.has_message_faults:
-            from repro.net.delays import FaultyDelay
-
-            self._policy = FaultyDelay(policy, plan, self._delta)
-            self._msg_faults = plan
-            self._fixed_delay = None
-        else:
-            self._policy = policy
-            self._msg_faults = None
-            self._fixed_delay = self._clamped_fixed_delay(policy)
-        self._preclamped = getattr(self._policy, "preclamped", False)
-
-    def _clamped_fixed_delay(self, policy: DelayPolicy) -> int | None:
-        """The policy's declared recipient-independent delay, Delta-clamped."""
-
         fixed = getattr(policy, "fixed_delay", None)
-        if fixed is None:
-            return None
-        return max(0, min(fixed, self._delta))
+        if fixed is not None:
+            fixed = max(0, min(fixed, self._delta))
+        plan = self.fault_plan
+        live = plan is not None and plan.has_message_faults
+        self._policy = policy
+        self._base_delay = fixed
+        self._msg_faults = plan if live else None
+        self._fixed_delay = None if live else fixed
 
     # -- sending -----------------------------------------------------------
 
@@ -329,12 +319,12 @@ class Network:
 
         One batched delivery event per distinct delay: a single one under
         a recipient-independent delay, otherwise one per delay the policy
-        (and the fault plan's drop / duplicate / spike decisions) assigns.
-        Within a batch recipients are visited in registration order — the
-        order individual per-recipient events would have executed in,
-        since their sequence numbers would have been consecutive.  A
-        duplicated copy is a bit of the batch's ``dup`` mask: the recipient
-        is visited twice *in place*.
+        and the fault plan's spikes assign to the recipients the plan
+        keeps.  Within a batch recipients are visited in registration
+        order — the order individual per-recipient events would have
+        executed in, since their sequence numbers would have been
+        consecutive.  A duplicated copy is a bit of the batch's ``dup``
+        mask: the recipient is visited twice *in place*.
         """
 
         if not plan:
@@ -345,31 +335,37 @@ class Network:
         if delay is not None:
             schedule(now + delay, _DELIVERY, partial(self._deliver_mask, plan, envelope))
             return
+        kept, dup, spiked, late = plan, 0, 0, 0
         faults = self._msg_faults
-        policy_delay = self._policy.delay
-        groups: dict[int, int] = {}
-        dup = 0
-        for vid, bit in self._bit.items():
-            if not plan & bit:
-                continue
-            if faults is not None:
-                copies = faults.copies(origin, vid, envelope, now)
-                if copies == 0:
-                    self.fault_drops += 1
-                    continue
-                if copies > 1:
-                    self.fault_duplicates += 1
-                    dup |= bit
-            delay = policy_delay(origin, vid, envelope, now)
-            if not self._preclamped:
-                delay = max(0, min(delay, self._delta))
-            groups[delay] = groups.get(delay, 0) | bit
-        for delay, mask in groups.items():
-            schedule(
-                now + delay,
-                _DELIVERY,
-                partial(self._deliver_mask, mask, envelope, dup & mask),
-            )
+        if faults is not None:
+            kept, dup, spiked = faults.decide(origin, self._ids, plan, envelope, now)
+            self.fault_drops += (plan ^ kept).bit_count()
+            self.fault_duplicates += dup.bit_count()
+            self.fault_spikes += spiked.bit_count()
+            late = spiked and faults.spike_ticks
+        base = self._base_delay
+        if base is not None:
+            batches = [(base, kept & ~spiked), (base + late, spiked)]
+            if spiked & kept & -kept:  # first-seen delay first
+                batches.reverse()
+        else:
+            groups: dict[int, int] = {}
+            policy_delay = self._policy.delay
+            delta = self._delta
+            for vid, bit in self._bit.items():
+                if kept & bit:
+                    delay = max(0, min(policy_delay(origin, vid, envelope, now), delta))
+                    if spiked & bit:
+                        delay += late
+                    groups[delay] = groups.get(delay, 0) | bit
+            batches = groups.items()
+        for delay, mask in batches:
+            if mask:
+                schedule(
+                    now + delay,
+                    _DELIVERY,
+                    partial(self._deliver_mask, mask, envelope, dup & mask),
+                )
 
     # -- delivery ----------------------------------------------------------
 

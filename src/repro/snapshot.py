@@ -64,7 +64,7 @@ from repro.faults import FaultSpec
 if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.core.tobsvd import TobSvdConfig, TobSvdProtocol, TobSvdResult
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 MAGIC = b"RPROSNAP"
 _HEADER_LEN = struct.Struct(">I")
 

@@ -10,6 +10,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro import cli
@@ -218,6 +220,18 @@ class TestCli:
         assert "mean latency" in out
         assert "safety holds:          True" in out
         assert ", 0 retained" in out  # bounded retention is the default
+
+    def test_run_cli_reports_message_faults_only_when_some_fired(self, capsys):
+        run = ["run", "stable", "--n", "6", "--views", "6", "--delta", "2"]
+        faults = '{"drop_rate": 0.1, "duplicate_rate": 0.1, "delay_spike_rate": 0.1}'
+        assert cli.main(run + ["--faults", faults]) == 0
+        line = re.search(
+            r"message faults: +(\d+) dropped, (\d+) duplicated, (\d+) spiked",
+            capsys.readouterr().out,
+        )
+        assert line and all(int(count) > 0 for count in line.groups())
+        assert cli.main(run) == 0
+        assert "message faults" not in capsys.readouterr().out
 
     def test_run_cli_full_retention_keeps_events(self, capsys):
         assert cli.main(["run", "stable", "--n", "6", "--views", "6",

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import partial
 
-from repro.net.delays import FaultyDelay
 from repro.net.network import MessageStats
 from repro.runctx import RunContext
 from repro.sim.simulator import EventPriority
@@ -32,17 +31,16 @@ class NaiveNetwork:
         self._delta = delta
         self._registry = registry
         self._buffering = buffer_while_asleep
-        self._faults = None
         self._policy = delay_policy
-        if fault_plan is not None and fault_plan.has_message_faults:
-            self._faults = fault_plan
-            self._policy = FaultyDelay(delay_policy, fault_plan, delta)
+        live = fault_plan is not None and fault_plan.has_message_faults
+        self._faults = fault_plan if live else None
         self._nodes = {}
         self._pending = defaultdict(list)
         self.stats = MessageStats()
         self.dropped_while_asleep = 0
         self.fault_drops = 0
         self.fault_duplicates = 0
+        self.fault_spikes = 0
         self.run_context = RunContext()
 
     def register(self, node):
@@ -96,9 +94,11 @@ class NaiveNetwork:
                     continue
                 if copies > 1:
                     self.fault_duplicates += 1
-            delay = self._policy.delay(origin, vid, envelope, now)
-            if self._faults is None:  # FaultyDelay clamps its base itself
-                delay = max(0, min(delay, self._delta))
+            delay = max(0, min(self._policy.delay(origin, vid, envelope, now), self._delta))
+            if self._faults is not None:  # a spike may exceed the Δ clamp
+                spike = self._faults.spike(origin, vid, envelope, now)
+                self.fault_spikes += bool(spike)
+                delay += spike
             groups.setdefault(delay, []).extend([vid] * copies)
         for delay, vids in groups.items():
             self._sim.schedule_callback(

@@ -13,11 +13,13 @@ protocols rely on:
 * sleep-buffered envelopes are flushed in original delivery order,
   before any same-tick delivery or timer (CONTROL priority);
 * the mask recipient plans (``seen`` / asleep / always-visit masks, the
-  in-place ``dup`` copies of the fault path) are observably identical to
-  a naive per-recipient reference (:mod:`tests.naive_network`): receive
+  fault plan's kept / ``dup`` / spiked masks over a uniform, a split and
+  an RNG-consuming base delay) are observably identical to a naive
+  per-recipient reference (:mod:`tests.naive_network`): receive
   sequences, every counter, buffer contents and ``events_processed``.
 """
 
+import random
 from functools import partial
 
 import pytest
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 from repro.core.validator import BaseValidator
 from repro.crypto.signatures import KeyRegistry
 from repro.faults import FaultSpec
-from repro.net.delays import SplitDelay, UniformDelay
+from repro.net.delays import RandomDelay, SplitDelay, UniformDelay
 from repro.net.messages import Envelope, LogMessage, RecoveryMessage
 from repro.net.network import Network
 from repro.sim.simulator import EventPriority, Simulator
@@ -229,18 +231,30 @@ class Observer:
         self.log.append((time, envelope.envelope_id))
 
 
+KINDS = ["uniform", "split", "faulty-uniform", "faulty-split", "faulty-random"]
+
+
 def _policy(kind, n):
-    fast = set(range(0, n + LATE, 3))
-    if kind == "uniform":
-        return UniformDelay(DELTA), None
-    if kind == "split":
-        return SplitDelay(delta=DELTA, fast_recipients=fast, fast_ticks=0), None
+    """``(delay policy, fault plan)``; a faulty kind pins which recipients
+    the base policy is asked about, and in what order, under drops."""
+
+    faulty, _, base = kind.rpartition("-")
+    policy = {
+        "uniform": UniformDelay(DELTA),
+        "split": SplitDelay(
+            delta=DELTA, fast_recipients=set(range(0, n + LATE, 3)),
+            fast_ticks=1 if faulty else 0,
+        ),
+        "random": RandomDelay(DELTA, random.Random(n), min_ticks=0),
+    }[base]
+    if not faulty:
+        return policy, None
     plan = FaultSpec(
         seed=n, drop_rate=0.15, duplicate_rate=0.2,
         delay_spike_rate=0.2, delay_spike_deltas=1,
     ).compile(n=n + LATE + 1, delta=DELTA, horizon=64)
     assert plan.has_message_faults
-    return SplitDelay(delta=DELTA, fast_recipients=fast, fast_ticks=1), plan
+    return policy, plan
 
 
 def run_script(network_class, n, script, kind, buffering):
@@ -328,7 +342,9 @@ def run_script(network_class, n, script, kind, buffering):
             "logs": {vid: list(node.log) for vid, node in nodes.items()},
             "stats": (stats.sends, stats.deliveries, stats.weighted_deliveries),
             "by_type": dict(stats.by_type),
-            "faults": (network.fault_drops, network.fault_duplicates),
+            "faults": (
+                network.fault_drops, network.fault_duplicates, network.fault_spikes
+            ),
             "dropped_while_asleep": network.dropped_while_asleep,
             "pending": {vid: network.pending_count(vid) for vid in nodes},
             "buffered": [e.envelope_id for e in network.buffered_envelopes()],
@@ -359,7 +375,7 @@ def mask_scripts(draw):
 
 class TestMaskPlansMatchNaiveOracle:
     @pytest.mark.parametrize("buffering", [True, False])
-    @pytest.mark.parametrize("kind", ["uniform", "split", "faulty"])
+    @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=60, deadline=None)
     @given(data=mask_scripts())
     def test_identical_to_per_recipient_reference(self, kind, buffering, data):
@@ -380,7 +396,7 @@ class TestMaskPlansMatchNaiveOracle:
             ("wake", 9, 68, 0, 0),
             ("bcast", 10, 64, 0, 3),
         ]
-        for kind in ("uniform", "faulty"):
+        for kind in ("uniform", "faulty-uniform", "faulty-split"):
             got = run_script(Network, 70, script, kind, True)
             assert got == run_script(NaiveNetwork, 70, script, kind, True)
             assert got[0]["pending"][5] > 0 and got[1]["pending"][5] == 0

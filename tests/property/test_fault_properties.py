@@ -1,15 +1,18 @@
 """Property tests for the fault-injection engine's determinism and safety.
 
-Three invariant families:
+Four invariant families:
 
 * **Plan determinism** — compiling a :class:`FaultSpec` is a pure
   function of ``(spec, dims)``, and the stateless per-message decisions
   form an identical injected event stream for identical seeds (hypothesis
   sweeps the spec space).
 * **Run determinism** — a faulty run's decision stream is byte-identical
-  across repeated executions, and identical whether the network injects
-  through the per-recipient hook path or not at all when the plan is
+  across repeated executions, and identical whether the network asks
+  the plan about every fan-out or not at all when the plan is
   semantically empty (hooks-vs-inline equivalence).
+* **Batch ≡ per link** — :meth:`FaultPlan.decide`'s masks for a whole
+  fan-out equal what ``cut`` / ``copies`` / ``spike`` answer link by link,
+  for any recipient order, plan mask, origin, window overlap and rate mix.
 * **Safety under faults** — the streaming safety check holds across a
   seed × fault-config matrix of crash, partition, message-fault and
   combined plans: compliance-checked fault plans stay inside the sleepy
@@ -125,11 +128,11 @@ class TestRunDeterminism:
 
     def test_hooks_vs_inline_byte_identity(self):
         # A plan whose only "fault" is a partition window far past the
-        # horizon: has_message_faults is True, so the network routes
-        # every send through the per-recipient injection hooks — but no
-        # decision ever fires.  The decision stream must be byte-equal
-        # to the plain run that never leaves the shared-fanout fast
-        # path: injection plumbing itself is behaviour-invariant.
+        # horizon: has_message_faults is True, so the network asks the
+        # plan about every fan-out — but no decision ever fires.  The
+        # decision stream must be byte-equal to the plain run that never
+        # leaves the shared-fanout fast path: injection plumbing itself
+        # is behaviour-invariant.
         config = TobSvdConfig(n=8, num_views=6, delta=2, seed=1)
         idle_plan = FaultPlan(
             spec=FaultSpec(),
@@ -147,6 +150,84 @@ class TestRunDeterminism:
         assert _decisions(hooked) == _decisions(plain)
         assert hooked.network.fault_drops == 0
         assert hooked.network.fault_duplicates == 0
+        assert hooked.network.fault_spikes == 0
+
+
+@st.composite
+def fan_outs(draw):
+    """A plan's arguments plus fan-outs to decide under it.
+
+    Recipient orders are permutations (registration order ≠ id order) and
+    may grow between fan-outs (a late ``register``); windows overlap
+    freely; times sit on window edges; every rate may be zero.
+    """
+
+    n = draw(st.sampled_from([2, 3, 16, 70]))  # 70: past one machine word
+    rate = st.sampled_from([0.0, 0.3, 1.0])
+    spec = FaultSpec(
+        seed=draw(st.integers(0, 2**16)),
+        drop_rate=draw(rate),
+        duplicate_rate=draw(rate),
+        delay_spike_rate=draw(rate),
+        delay_spike_deltas=draw(st.sampled_from([0, 2])),
+    )
+    windows = tuple(
+        PartitionWindow(start, start + length, tuple(sorted(isolated)))
+        for start, length, isolated in draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 20),
+                    st.integers(1, 12),
+                    st.sets(st.integers(0, n - 1), min_size=1, max_size=max(1, n // 2)),
+                ),
+                max_size=3,
+            )
+        )
+    )
+    edges = [
+        time
+        for w in windows
+        for time in (w.start - 1, w.start, w.heal - 1, w.heal)
+        if time >= 0
+    ]
+    times = st.sampled_from(edges) if edges else st.integers(0, 40)
+    order = tuple(draw(st.permutations(range(n))))
+    sends = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, n),  # how many nodes have registered so far
+                st.integers(0, n + 1),  # origin: n and n + 1 never register
+                st.one_of(st.just(0), st.just(-1), st.integers(0, 2**70)),  # plan
+                times,
+                st.integers(0, 3),  # payload tag
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return (spec, n, 2, 64, (), windows), order, sends
+
+
+class TestBatchMatchesPerLink:
+    @given(fan_outs())
+    @settings(max_examples=150, deadline=None)
+    def test_decide_equals_the_per_link_definition(self, data):
+        plan_args, order, sends = data
+        batch, reference = FaultPlan(*plan_args), FaultPlan(*plan_args)
+        for registered, origin, plan, time, tag in sends:
+            ids = order[:registered]
+            plan &= (1 << registered) - 1
+            envelope = _Envelope(f"payload-{tag}")
+            kept = dup = spiked = 0
+            for index, vid in enumerate(ids):
+                if not plan >> index & 1:
+                    continue
+                copies = reference.copies(origin, vid, envelope, time)
+                if copies:
+                    kept |= 1 << index
+                    dup |= (copies == 2) << index
+                    spiked |= bool(reference.spike(origin, vid, envelope, time)) << index
+            assert batch.decide(origin, ids, plan, envelope, time) == (kept, dup, spiked)
 
 
 # The acceptance matrix: >= 3 seeds x >= 4 fault configurations, each run

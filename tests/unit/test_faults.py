@@ -9,14 +9,21 @@ corruption recovery + quarantine machinery the self-healing executor
 rests on.
 """
 
+import hashlib
 import json
 import os
+import pickle
+import sys
+import types
+from dataclasses import replace
 
 import pytest
 
+import repro.faults
 from repro.faults import (
     ChaosPlan,
     CrashWindow,
+    FaultPlan,
     FaultSpec,
     PartitionWindow,
     crashed_schedule,
@@ -222,13 +229,12 @@ class TestMessageDecisions:
         # no hook installed, no per-message decision made, and the run is
         # event for event the plan-free run.
         from repro.core.tobsvd import TobSvdConfig
-        from repro.faults import FaultPlan
         from repro.harness import stable_scenario
 
         def forbidden(self, *args):
             raise AssertionError("a per-message fault decision was made")
 
-        for name in ("cut", "copies", "spike"):
+        for name in ("cut", "copies", "spike", "decide"):
             monkeypatch.setattr(FaultPlan, name, forbidden)
 
         shape = dict(n=8, num_views=4, delta=2, seed=0)
@@ -277,6 +283,157 @@ class TestMessageDecisions:
             n=8, delta=2, horizon=100
         )
         assert plan.spike(0, 1, _FakeEnvelope(), 0) == 6  # 3Δ * 2 ticks
+
+
+# ---------------------------------------------------------------------------
+# The injected stream is pinned: per link, per fan-out, across pickling
+# ---------------------------------------------------------------------------
+
+# The rig's ``sim-adverse-n16`` rates, compiled at its dimensions.
+ADVERSE = FaultSpec(
+    seed=0, crash_count=2, crash_view=8, crash_deltas=8,
+    drop_rate=0.05, duplicate_rate=0.02, delay_spike_rate=0.05,
+)
+GOLDEN_N = 16
+GOLDEN_TIMES = (0, 7, 8, 23, 24, 40, 55, 56, 100)  # both partitions' edges
+GOLDEN_DIGESTS = tuple(
+    hashlib.sha256(f"golden-{i}".encode()).hexdigest() for i in range(3)
+)
+# SHA-256 of the stream below, recorded at the commit before the batch
+# entry existed (one fresh keyed hasher and one f-string per draw).
+GOLDEN = [
+    (ADVERSE, "9ef2270889cd0ea48749f85670bfe2eae229f174e067aff85cc8e1f48de100dd"),
+    (
+        replace(ADVERSE, partitions=2),
+        "fb54ab324152fa8d97eb031309297e78aa53e2352889ebaf4bb46d7957977fcc",
+    ),
+]
+
+
+def golden_plan(spec: FaultSpec) -> FaultPlan:
+    return spec.compile(n=GOLDEN_N, delta=2, horizon=256)
+
+
+def per_link_triples(plan, sender, envelope, time):
+    """``(cut, copies, spike of a kept copy)`` per recipient, by definition."""
+
+    for recipient in range(GOLDEN_N):
+        copies = plan.copies(sender, recipient, envelope, time)
+        yield (
+            plan.cut(sender, recipient, time),
+            copies,
+            plan.spike(sender, recipient, envelope, time) if copies else 0,
+        )
+
+
+def batch_triples(plan, sender, envelope, time):
+    """The same triples read off one :meth:`FaultPlan.decide` call."""
+
+    ids = tuple(range(GOLDEN_N))
+    kept, dup, spiked = plan.decide(sender, ids, (1 << GOLDEN_N) - 1, envelope, time)
+    assert not (dup | spiked) & ~kept
+    for recipient in ids:
+        bit = 1 << recipient
+        cut = plan.cut(sender, recipient, time)
+        assert not (cut and kept & bit)
+        yield (
+            cut,
+            (1 + bool(dup & bit)) if kept & bit else 0,
+            plan.spike_ticks if spiked & bit else 0,
+        )
+
+
+def stream_hash(plan, triples) -> str:
+    stream = hashlib.sha256()
+    for time in GOLDEN_TIMES:
+        for digest in GOLDEN_DIGESTS:
+            envelope = _FakeEnvelope(digest)
+            for sender in range(GOLDEN_N):
+                for cut, copies, spike in triples(plan, sender, envelope, time):
+                    stream.update(f"{int(cut)}{copies}{spike};".encode())
+    return stream.hexdigest()
+
+
+class TestGoldenStream:
+    """A change to the key, the preimage or the float compare fails here,
+    not only in the full-size rig."""
+
+    @pytest.mark.parametrize("triples", [per_link_triples, batch_triples])
+    @pytest.mark.parametrize("spec,expected", GOLDEN, ids=["adverse", "partitions"])
+    def test_stream_is_the_recorded_one(self, spec, expected, triples):
+        assert stream_hash(golden_plan(spec), triples) == expected
+
+    def test_identity_constants_did_not_move(self):
+        assert repro.faults.FAULT_SPEC_VERSION == 1
+        assert [golden_plan(spec).plan_id for spec, _ in GOLDEN] == [
+            "4af60a517ba30285", "a0ec9d7e8eb4364e",
+        ]
+
+
+class TestPlanPickling:
+    """``hashlib`` objects do not pickle, plans do — also after serving draws."""
+
+    @pytest.mark.parametrize("spec,expected", GOLDEN, ids=["adverse", "partitions"])
+    def test_used_plan_round_trips_to_the_same_stream(self, spec, expected):
+        plan = golden_plan(spec)
+        assert stream_hash(plan, batch_triples) == expected  # primes every sender
+        thawed = pickle.loads(pickle.dumps(plan))
+        assert (thawed.spec, thawed.plan_id) == (plan.spec, plan.plan_id)
+        assert thawed.crash_windows == plan.crash_windows
+        assert thawed.partition_windows == plan.partition_windows
+        assert stream_hash(thawed, batch_triples) == expected
+        assert stream_hash(thawed, per_link_triples) == expected
+
+
+class TestFaultWork:
+    """The fault path's work is counted, so CI can hold it without a clock.
+
+    Before the batch entry one fan-out cost ~105 Python calls into
+    ``faults.py`` and every draw built a fresh keyed hasher.
+    """
+
+    def test_one_decision_per_fan_out_and_hashers_per_sender(self, monkeypatch):
+        from repro.harness import equivocating_scenario
+        from repro.harness.scenarios import compile_checked_fault_plan
+
+        n = 16
+        constructions = [0]
+
+        def blake2b(*args, **kwargs):
+            constructions[0] += 1
+            return hashlib.blake2b(*args, **kwargs)
+
+        monkeypatch.setattr(
+            repro.faults, "hashlib",
+            types.SimpleNamespace(blake2b=blake2b, sha256=hashlib.sha256),
+        )
+        protocol = equivocating_scenario(n=n, f=5, num_views=8, delta=2)
+        plan = compile_checked_fault_plan(
+            replace(ADVERSE, crash_view=2), protocol.config, protocol.corruption,
+            None, "count-guard",
+        )
+        protocol = equivocating_scenario(n=n, f=5, num_views=8, delta=2, fault_plan=plan)
+        calls = {"faults": 0, "fan_outs": 0}
+        faults_file = repro.faults.__file__
+
+        def profile(frame, event, arg):
+            if event == "call":
+                code = frame.f_code
+                if code.co_filename == faults_file:
+                    calls["faults"] += 1
+                elif code.co_name == "_fan_out":
+                    calls["fan_outs"] += 1
+
+        sys.setprofile(profile)
+        try:
+            result = protocol.run()
+        finally:
+            sys.setprofile(None)
+        network = result.network
+        injected = network.fault_drops + network.fault_duplicates + network.fault_spikes
+        assert calls["fan_outs"] > 1000 and injected > 1000  # the faulty path ran
+        assert calls["faults"] / calls["fan_outs"] <= 2, calls
+        assert 0 < constructions[0] <= 3 * n * n + 3, constructions
 
 
 # ---------------------------------------------------------------------------

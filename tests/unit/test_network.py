@@ -243,11 +243,8 @@ class DuplicateTo:
     def __init__(self, recipient):
         self.recipient = recipient
 
-    def copies(self, sender, recipient, envelope, time):
-        return 2 if recipient == self.recipient else 1
-
-    def spike(self, sender, recipient, envelope, time):
-        return 0
+    def decide(self, origin, ids, plan, envelope, time):
+        return plan, plan & 1 << ids.index(self.recipient), 0
 
 
 class TestMaskPlans:
@@ -314,6 +311,54 @@ class TestMaskPlans:
         assert network.flush_pending(2) == 2
         assert len(nodes[2].handled) == 1
         assert network.stats.deliveries == 5
+
+    def test_one_plan_serves_two_networks_with_different_bit_orders(self):
+        # Masks are in a network's registration order and the plan keeps
+        # what it derives per order: sharing one plan object must hand
+        # each network the decisions of its own recipients.
+        from repro.faults import FaultSpec
+
+        spec = FaultSpec(
+            seed=4, drop_rate=0.3, duplicate_rate=0.3, delay_spike_rate=0.3,
+            partitions=1, partition_view=0,
+        )
+        shared = spec.compile(n=6, delta=DELTA, horizon=64)
+        registry = KeyRegistry(6, seed=0)
+        envelopes = [
+            signed(registry, vid, LogMessage(("k", vid), chain_of(1)))
+            for vid in range(6)
+        ]
+
+        def world(order):
+            sim = Simulator()
+            network = Network(sim, DELTA, registry, UniformDelay(DELTA), fault_plan=shared)
+            nodes = {vid: RecordingNode(vid) for vid in order}
+            for node in nodes.values():
+                network.register(node)
+            return sim, network, nodes
+
+        # By definition, from a plan of its own: self-delivery at once,
+        # every other copy at Δ plus its spike.
+        reference = spec.compile(n=6, delta=DELTA, horizon=64)
+        want = {vid: [] for vid in range(6)}
+        for envelope in envelopes:
+            sender = envelope.sender
+            want[sender].append((0, envelope.envelope_id))
+            for vid in set(range(6)) - {sender}:
+                at = DELTA + reference.spike(sender, vid, envelope, 0)
+                copies = reference.copies(sender, vid, envelope, 0)
+                want[vid] += [(at, envelope.envelope_id)] * copies
+        assert any(len(arrivals) != 6 for arrivals in want.values())  # faults fired
+
+        worlds = [world(range(6)), world((5, 3, 1, 0, 2, 4))]
+        for envelope in envelopes:
+            for _sim, network, _nodes in worlds:
+                network.broadcast(envelope)
+        for sim, _network, nodes in worlds:
+            sim.run_to_exhaustion()
+            for vid, node in nodes.items():
+                got = sorted((time, e.envelope_id) for e, time in node.received)
+                assert got == sorted(want[vid])
 
     def test_envelope_learned_via_send_direct_is_visited_once_then_skipped(self):
         sim, registry, network, nodes = build_dedup_network()

@@ -256,6 +256,49 @@ def test_mid_storm_capture_forks_to_the_genesis_run():
     assert fingerprint(forked) == fingerprint(genesis)
 
 
+def test_message_fault_run_captured_mid_view_resumes_to_the_same_run():
+    # The plan has served draws by capture time, so it holds primed
+    # ``hashlib`` state that cannot be pickled; the blob carries the plan
+    # without it and the resumed run re-primes on its first fan-out.
+    from repro.harness.scenarios import compile_checked_fault_plan, equivocating_scenario
+    from repro.node.deploy import canonical_decision_bytes
+    from repro.node.runtime import decisions_as_records
+
+    def faulty():
+        shape = dict(n=8, f=2, num_views=8, delta=2, seed=1)
+        probe = equivocating_scenario(**shape)
+        plan = compile_checked_fault_plan(
+            FaultSpec(
+                seed=1, crash_count=1, crash_view=5, drop_rate=0.05,
+                duplicate_rate=0.05, delay_spike_rate=0.1,
+            ),
+            probe.config, probe.corruption, None, "snapshot-test",
+        )
+        return equivocating_scenario(fault_plan=plan, **shape)
+
+    def fingerprint(result):
+        network = result.network
+        return (
+            {
+                vid: canonical_decision_bytes(decisions_as_records(v.decided))
+                for vid, v in result.validators.items()
+            },
+            result.simulator.events_processed,
+            (network.fault_drops, network.fault_duplicates, network.fault_spikes),
+        )
+
+    genesis = fingerprint(faulty().run())
+    assert all(genesis[2])
+
+    live = faulty()
+    live.start()
+    live.advance(live.config.time.view_start(3) + 3 * live.config.delta)  # mid-view
+    assert live.network.fault_drops and live.fault_plan._primed
+    snap = capture(live, "faulty", 3)
+    assert snap.thaw().fault_plan._primed == {}
+    assert fingerprint(resume(Snapshot.from_bytes(snap.to_bytes()))) == genesis
+
+
 def test_reachable_views_sees_envelopes_inside_mask_plan_callbacks():
     from repro.snapshot import _reachable_views
 
