@@ -17,7 +17,7 @@ from repro import TransactionPool
 from repro.analysis.aggregation import aggregate_sweep, render_sweep_markdown
 from repro.analysis.latency import proposal_anchored_latency_deltas
 from repro.analysis.metrics import check_safety, voting_phases_per_block
-from repro.harness import ExperimentSpec, run_scenario, run_sweep, stable_scenario
+from repro.harness import ExperimentSpec, run_sweep, stable_scenario
 
 
 def single_run() -> None:
@@ -33,7 +33,7 @@ def single_run() -> None:
         t_v = config.time.view_start(view)
         txs.append(pool.submit(payload=f"payment-{view}", at_time=t_v - 1))
 
-    result = run_scenario(protocol)
+    result = protocol.run()
 
     print(f"TOB-SVD: n={config.n}, {config.num_views} views, Δ={config.delta} ticks")
     print(f"safety holds: {check_safety(result.trace).safe}")

@@ -76,10 +76,10 @@ class ByzantineValidator:
             self.send_to(payload_b, group_b, delay),
         )
 
-    def at(self, time: int, callback, note: str = "byz") -> None:
+    def at(self, time: int, callback) -> None:
         """Schedule adversary behaviour (TIMER priority, like honest code)."""
 
-        self._sim.schedule(time, EventPriority.TIMER, callback, note=note)
+        self._sim.schedule_callback(time, EventPriority.TIMER, callback)
 
     @property
     def now(self) -> int:

@@ -48,7 +48,7 @@ class GaEquivocator(ByzantineValidator):
         self._start_time = start_time
 
     def setup(self) -> None:
-        self.at(self._start_time, self._attack, note="ga-equivocate")
+        self.at(self._start_time, self._attack)
 
     def _attack(self) -> None:
         self.broadcast(LogMessage(ga_key=self._ga_key, log=self._log_a))
@@ -89,7 +89,7 @@ class GaSplitEquivocator(ByzantineValidator):
         self._late_delay = late_delay if late_delay is not None else network.delta
 
     def setup(self) -> None:
-        self.at(self._start_time, self._attack, note="ga-split-equivocate")
+        self.at(self._start_time, self._attack)
 
     def _attack(self) -> None:
         message_a = LogMessage(ga_key=self._ga_key, log=self._log_a)

@@ -98,11 +98,8 @@ class LeaderKillerDriver:
 
     def install(self) -> None:
         for kill in self._kills:
-            self._protocol.simulator.schedule(
-                kill.effective_at,
-                EventPriority.TIMER,
-                partial(self._equivocate, kill),
-                note=f"leader-kill-{kill.view}",
+            self._protocol.simulator.schedule_callback(
+                kill.effective_at, EventPriority.TIMER, partial(self._equivocate, kill)
             )
 
     def _equivocate(self, kill: PlannedKill) -> None:

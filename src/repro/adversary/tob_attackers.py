@@ -109,11 +109,7 @@ class TobEquivocatingProposer(_TobByzantineBase):
     def extend_views(self, first_view: int, num_views: int) -> None:
         self._config = self._context.config  # refreshed on horizon extension
         for view in range(first_view, num_views):
-            self.at(
-                self._time.view_start(view),
-                partial(self._attack_view, view),
-                note=f"byz-equivocate-{view}",
-            )
+            self.at(self._time.view_start(view), partial(self._attack_view, view))
 
     def _attack_view(self, view: int) -> None:
         reference = self._honest_reference()
@@ -162,11 +158,7 @@ class TobDoubleVoter(_TobByzantineBase):
         self._config = self._context.config  # refreshed on horizon extension
         delta = self._config.delta
         for view in range(first_view, num_views):
-            self.at(
-                self._time.view_start(view) + delta,
-                partial(self._attack_view, view),
-                note=f"byz-double-vote-{view}",
-            )
+            self.at(self._time.view_start(view) + delta, partial(self._attack_view, view))
 
     def _attack_view(self, view: int) -> None:
         reference = self._honest_reference()
@@ -210,18 +202,6 @@ def make_tob_attacker_factory(kind: TobAttackerKind) -> TobAttackerFactory:
         "double-voter": TobDoubleVoter,
     }
     try:
-        cls = classes[kind]
+        return classes[kind]  # the class is the factory: same six arguments
     except KeyError:
         raise ValueError(f"unknown TOB attacker kind {kind!r}") from None
-
-    def build(
-        vid: int,
-        key: SigningKey,
-        simulator: Simulator,
-        network: Network,
-        trace: Trace,
-        context: ProtocolContext,
-    ) -> ByzantineValidator:
-        return cls(vid, key, simulator, network, trace, context)
-
-    return build

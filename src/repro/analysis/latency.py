@@ -16,9 +16,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from statistics import mean
-
 from repro.chain.transactions import Transaction
 from repro.trace import Trace
 
@@ -66,36 +63,3 @@ def proposal_anchored_latency_deltas(
         return None
     first_proposal_time = min(p.time for p in batching)
     return (decision.time - first_proposal_time) / delta
-
-
-@dataclass(frozen=True)
-class LatencySummary:
-    """Aggregate of one latency experiment."""
-
-    samples: int
-    unconfirmed: int
-    mean_deltas: float
-    min_deltas: float
-    max_deltas: float
-
-    @classmethod
-    def from_values(cls, values: list[float], unconfirmed: int = 0) -> "LatencySummary":
-        if not values:
-            return cls(samples=0, unconfirmed=unconfirmed, mean_deltas=float("nan"),
-                       min_deltas=float("nan"), max_deltas=float("nan"))
-        return cls(
-            samples=len(values),
-            unconfirmed=unconfirmed,
-            mean_deltas=mean(values),
-            min_deltas=min(values),
-            max_deltas=max(values),
-        )
-
-
-def summarize_confirmations(
-    trace: Trace, txs: list[Transaction], delta: int
-) -> LatencySummary:
-    """Confirmation-time summary over a batch of transactions."""
-
-    values = confirmation_times_deltas(trace, txs, delta)
-    return LatencySummary.from_values(values, unconfirmed=len(txs) - len(values))

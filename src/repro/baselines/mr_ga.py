@@ -32,16 +32,16 @@ from repro.chain.log import Log
 from repro.core.quorum import meets_quorum
 from repro.core.state import LogView
 from repro.core.validator import BaseValidator
-from repro.crypto.signatures import KeyRegistry, SigningKey
-from repro.net.delays import DelayPolicy, UniformDelay
+from repro.core.world import World
+from repro.crypto.signatures import SigningKey
+from repro.net.delays import DelayPolicy
 from repro.net.messages import Envelope, LogMessage, VoteMessage
 from repro.net.network import Network
 from repro.sim.simulator import Simulator
-from repro.sleepy.controller import SleepController
 from repro.sleepy.corruption import CorruptionPlan
 from repro.sleepy.schedule import AwakeSchedule
 from repro.trace import GaOutputEvent, Trace, VotePhaseEvent
-from repro.tracebus import Observability, TraceBus, build_observability
+from repro.tracebus import Observability, TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only, avoids analysis cycle
     from repro.analysis.streaming import StreamingAnalyzer
@@ -142,10 +142,10 @@ class MrGaHostValidator(BaseValidator):
 
     def setup(self) -> None:
         delta = self._delta
-        self.schedule_timer(self._start, self._input_phase, note="mr-input")
-        self.schedule_timer(self._start + delta, self._store_phase, note="mr-store")
-        self.schedule_timer(self._start + 2 * delta, self._vote_phase, note="mr-vote")
-        self.schedule_timer(self._start + 3 * delta, self._output_phase, note="mr-output")
+        self.schedule_timer(self._start, self._input_phase)
+        self.schedule_timer(self._start + delta, self._store_phase)
+        self.schedule_timer(self._start + 2 * delta, self._vote_phase)
+        self.schedule_timer(self._start + 3 * delta, self._output_phase)
 
     # -- phases ------------------------------------------------------------------
 
@@ -284,59 +284,25 @@ def run_mr_ga(
 ) -> MrGaRunResult:
     """Run one Momose-Ren GA instance (mirror of ``run_standalone_ga``)."""
 
-    simulator = Simulator(seed=seed)
-    registry = KeyRegistry(n, seed=seed)
-    policy = delay_policy if delay_policy is not None else UniformDelay(delta)
-    network = Network(simulator, delta, registry, policy)
-    observability = build_observability(trace_mode)
-    bus = observability.bus
-    schedule = schedule if schedule is not None else AwakeSchedule.always_awake(n)
     corruption = corruption if corruption is not None else CorruptionPlan.none()
-    controller = SleepController(simulator, network, schedule, corruption, bus)
-
-    byzantine = corruption.ever_byzantine()
-    hosts: dict[int, MrGaHostValidator] = {}
-    byzantine_nodes: list[object] = []
-    for vid in range(n):
-        key = registry.key_for(vid)
-        if vid in byzantine:
-            if byzantine_factory is None:
-                raise ValueError("byzantine validators declared but no factory given")
-            node = byzantine_factory(vid, key, simulator, network, bus)
-            network.register(node)
-            controller.manage(node)
-            byzantine_nodes.append(node)
-            continue
-        host = MrGaHostValidator(
-            vid,
-            key,
-            simulator,
-            network,
-            bus,
-            ga_key=(MR_GA_NAME, 0),
-            start_time=0,
-            input_log=inputs.get(vid),
-        )
-        network.register(host)
-        controller.manage(host)
-        hosts[vid] = host
-
-    horizon = MR_DURATION_DELTAS * delta + extra_ticks
-    controller.install(horizon)
-    for host in hosts.values():
-        host.setup()
-    for node in byzantine_nodes:
-        setup = getattr(node, "setup", None)
-        if callable(setup):
-            setup()
-    simulator.run_until(horizon)
-
+    world = World(
+        n, delta, seed, schedule=schedule, corruption=corruption,
+        delay_policy=delay_policy, trace_mode=trace_mode,
+    )
+    world.populate(
+        corruption.ever_byzantine(),
+        lambda vid, *wiring: MrGaHostValidator(
+            vid, *wiring, ga_key=(MR_GA_NAME, 0), start_time=0, input_log=inputs.get(vid)
+        ),
+        byzantine_factory,
+    )
+    world.run_to(MR_DURATION_DELTAS * delta + extra_ticks)
     return MrGaRunResult(
-        outputs={vid: dict(host.outputs) for vid, host in hosts.items()},
-        trace=observability.trace,
-        network=network,
-        simulator=simulator,
-        honest_ids=frozenset(hosts),
-        analysis=observability.analysis,
-        observability=observability,
+        outputs={vid: dict(host.outputs) for vid, host in world.validators.items()},
+        trace=world.trace,
+        network=world.network,
+        simulator=world.simulator,
+        honest_ids=frozenset(world.validators),
+        analysis=world.observability.analysis,
+        observability=world.observability,
     )

@@ -34,17 +34,17 @@ from repro.chain.log import Log
 from repro.chain.transactions import Transaction, TransactionPool
 from repro.core.proposals import ProposalBook
 from repro.core.validator import BaseValidator
+from repro.core.world import World
 from repro.crypto.signatures import KeyRegistry, SigningKey
 from repro.crypto.vrf import VRF
-from repro.net.delays import DelayPolicy, UniformDelay
+from repro.net.delays import DelayPolicy
 from repro.net.messages import Envelope, ProposalMessage, StructuralVote
 from repro.net.network import Network
 from repro.sim.simulator import Simulator
-from repro.sleepy.controller import SleepController
 from repro.sleepy.corruption import CorruptionPlan
 from repro.sleepy.schedule import AwakeSchedule
 from repro.trace import DecisionEvent, ProposalEvent, Trace, VotePhaseEvent
-from repro.tracebus import Observability, TraceBus, build_observability
+from repro.tracebus import Observability, TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only, avoids analysis cycle
     from repro.analysis.streaming import StreamingAnalyzer
@@ -132,17 +132,14 @@ class StructuralTobValidator(BaseValidator):
         structure = self._structure
         for view in range(self._config.num_views):
             start = self._context.view_start(view)
-            self.schedule_timer(start, lambda v=view: self._propose(v), note=f"s-propose-{view}")
+            self.schedule_timer(start, lambda v=view: self._propose(v))
             for phase in range(1, structure.phases_success_view + 1):
                 self.schedule_timer(
-                    start + phase * delta,
-                    lambda v=view, p=phase: self._vote(v, p),
-                    note=f"s-vote-{view}-{phase}",
+                    start + phase * delta, lambda v=view, p=phase: self._vote(v, p)
                 )
             self.schedule_timer(
                 start + structure.best_case_latency_deltas * delta,
                 lambda v=view: self._decide(v),
-                note=f"s-decide-{view}",
             )
 
     # -- phases ---------------------------------------------------------------------
@@ -213,7 +210,6 @@ class StructuralTobValidator(BaseValidator):
             self.schedule_timer(
                 self.now + j * delta,
                 lambda v=view, p=final_phase + j: self._failure_vote(v, p),
-                note=f"s-failvote-{view}",
             )
 
     def _failure_vote(self, view: int, phase: int) -> None:
@@ -277,11 +273,7 @@ class StructuralEquivocator(ByzantineValidator):
 
     def setup(self) -> None:
         for view in range(self._context.config.num_views):
-            self.at(
-                self._context.view_start(view),
-                lambda v=view: self._attack(v),
-                note=f"s-byz-{view}",
-            )
+            self.at(self._context.view_start(view), lambda v=view: self._attack(v))
 
     def _attack(self, view: int) -> None:
         reference = self._honest_reference()
@@ -332,7 +324,6 @@ class StructuralEquivocator(ByzantineValidator):
         self.at(
             self.now + final_phase * self._network.delta,
             lambda payload=vote: self.broadcast(payload),
-            note=f"s-byz-vote-{view}",
         )
 
     def _honest_reference(self) -> StructuralTobValidator | None:
@@ -346,19 +337,6 @@ class StructuralEquivocator(ByzantineValidator):
 StructuralByzFactory = Callable[
     [int, SigningKey, Simulator, Network, TraceBus, StructuralContext], ByzantineValidator
 ]
-
-
-def equivocator_factory(
-    vid: int,
-    key: SigningKey,
-    simulator: Simulator,
-    network: Network,
-    trace: TraceBus,
-    context: StructuralContext,
-) -> ByzantineValidator:
-    """Default structural Byzantine node: the split-proposal equivocator."""
-
-    return StructuralEquivocator(vid, key, simulator, network, trace, context)
 
 
 @dataclass
@@ -387,7 +365,7 @@ class StructuralResult:
         return set(self.analysis.decided_views)
 
 
-class StructuralTob:
+class StructuralTob(World):
     """Builds and runs a structural baseline execution."""
 
     def __init__(
@@ -408,23 +386,18 @@ class StructuralTob:
                 f"{structure.name} has best-case {structure.best_case_latency_deltas}Δ "
                 f"> view {structure.view_length_deltas}Δ (use the real protocol instead)"
             )
-        if registry is not None and registry.n != config.n:
-            raise ValueError(
-                f"prebuilt registry covers n={registry.n}, run needs n={config.n}"
-            )
+        super().__init__(
+            config.n,
+            config.delta,
+            config.seed,
+            schedule=schedule,
+            corruption=corruption,
+            delay_policy=delay_policy,
+            trace_mode=trace_mode,
+            registry=registry,
+        )
         self.structure = structure
         self.config = config
-        self.simulator = Simulator(seed=config.seed)
-        self.registry = (
-            registry if registry is not None else KeyRegistry(config.n, seed=config.seed)
-        )
-        policy = delay_policy if delay_policy is not None else UniformDelay(config.delta)
-        self.network = Network(self.simulator, config.delta, self.registry, policy)
-        self.observability = build_observability(trace_mode)
-        self.trace = self.observability.trace
-        self._bus = self.observability.bus
-        self.schedule = schedule if schedule is not None else AwakeSchedule.always_awake(config.n)
-        self.corruption = corruption if corruption is not None else CorruptionPlan.none()
         self.pool = pool if pool is not None else TransactionPool()
         self.context = StructuralContext(
             structure=structure,
@@ -433,42 +406,18 @@ class StructuralTob:
             pool=self.pool,
             registry=self.registry,
         )
-        self._controller = SleepController(
-            self.simulator, self.network, self.schedule, self.corruption, self._bus
+        factory = byzantine_factory if byzantine_factory is not None else StructuralEquivocator
+        self.populate(
+            self.corruption.initial_byzantine,
+            lambda *wiring: StructuralTobValidator(*wiring, self.context),
+            lambda *wiring: factory(*wiring, self.context),
         )
-        self.validators: dict[int, StructuralTobValidator] = {}
-        self.byzantine_nodes: dict[int, object] = {}
-        factory = byzantine_factory if byzantine_factory is not None else equivocator_factory
-
-        byzantine = self.corruption.initial_byzantine
-        for vid in range(config.n):
-            key = self.registry.key_for(vid)
-            if vid in byzantine:
-                node = factory(vid, key, self.simulator, self.network, self._bus, self.context)
-                self.network.register(node)  # type: ignore[arg-type]
-                self._controller.manage(node)  # type: ignore[arg-type]
-                self.byzantine_nodes[vid] = node
-                continue
-            validator = StructuralTobValidator(
-                vid, key, self.simulator, self.network, self._bus, self.context
-            )
-            self.network.register(validator)
-            self._controller.manage(validator)
-            self.validators[vid] = validator
 
     def run(self) -> StructuralResult:
-        horizon = (
+        self.run_to(
             self.context.view_start(self.config.num_views)
             + self.structure.phases_failure_view * self.config.delta
         )
-        self._controller.install(horizon)
-        for validator in self.validators.values():
-            validator.setup()
-        for node in self.byzantine_nodes.values():
-            setup = getattr(node, "setup", None)
-            if callable(setup):
-                setup()
-        self.simulator.run_until(horizon)
         return StructuralResult(
             structure=self.structure,
             config=self.config,

@@ -655,29 +655,28 @@ def _cmd_bisect(args: argparse.Namespace) -> int:
     invocations, so re-bisecting a tweaked predicate is nearly free.
     """
 
-    from repro.analysis.metrics import check_safety, count_new_blocks
     from repro.chain.transactions import TransactionPool
     from repro.snapshot import SnapshotStore, bisect_views
 
     def make_protocol():
-        # Full retention: predicates read the complete event trace.
-        return _build_scenario(args, TransactionPool(), trace_mode="full")
+        # Bounded retention: predicates read the streaming reducers.
+        return _build_scenario(args, TransactionPool(), trace_mode="bounded")
 
-    view_ticks = make_protocol().config.time.view_ticks
     if args.check == "safety":
         def predicate(result) -> bool:
-            return check_safety(result.trace).safe
+            return result.analysis.safety().safe
     else:
         # Progress: every elapsed view decided a block.  A view's decision
         # lands during the *following* view (confirmation latency exceeds
         # one view), so the boundary after view v expects v decided blocks
         # — views 0..v-1 done, view v still in flight.
         def predicate(result) -> bool:
+            view_ticks = result.config.time.view_ticks
             views_elapsed = (result.simulator.now + 1) // view_ticks
-            return count_new_blocks(result.trace) >= views_elapsed - 1
+            return result.analysis.new_blocks >= views_elapsed - 1
 
     store = SnapshotStore(args.snapshot_dir) if args.snapshot_dir else None
-    scenario_key = _cli_scenario_key(args, "full")
+    scenario_key = _cli_scenario_key(args, "bounded")
     print(f"bisect {args.family}: n={args.n} Δ={args.delta} "
           f"views={args.views} seed={args.seed} check={args.check}")
     report = bisect_views(

@@ -9,6 +9,8 @@ Layout:
 * :mod:`repro.core.ga` — a parametric Graded Agreement engine instantiated
   as the k=2 protocol (paper Figure 1) and the k=3 protocol (Figure 2);
 * :mod:`repro.core.validator` — base class for honest protocol validators;
+* :mod:`repro.core.world` — run assembly: the substrate every simulated
+  driver is built on and the order its calendar is written in;
 * :mod:`repro.core.ga_host` — a standalone validator that runs exactly one
   GA instance (used by the GA experiments and property tests);
 * :mod:`repro.core.proposals` — proposal books with equivocation discard

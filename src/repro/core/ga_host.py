@@ -15,21 +15,21 @@ GA property tests and the Figure-1/Figure-2 experiments consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.chain.log import Log
-from repro.crypto.signatures import KeyRegistry, SigningKey
+from repro.crypto.signatures import SigningKey
 from repro.core.ga import GaInstance, GaSpec
 from repro.core.validator import BaseValidator
-from repro.net.delays import DelayPolicy, UniformDelay
+from repro.core.world import NodeFactory, World
+from repro.net.delays import DelayPolicy
 from repro.net.messages import Envelope, LogMessage
 from repro.net.network import Network
 from repro.sim.simulator import Simulator
-from repro.sleepy.controller import SleepController
 from repro.sleepy.corruption import CorruptionPlan
 from repro.sleepy.schedule import AwakeSchedule
 from repro.trace import GaOutputEvent, Trace, VotePhaseEvent
-from repro.tracebus import Observability, TraceBus, build_observability
+from repro.tracebus import Observability, TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only, avoids analysis cycle
     from repro.analysis.streaming import StreamingAnalyzer
@@ -61,18 +61,15 @@ class GaHostValidator(BaseValidator):
         """Register the instance's timers (call once, before running)."""
 
         spec = self.ga.spec
-        self.schedule_timer(self.ga.start_time, self._input_phase, note="ga-input")
+        self.schedule_timer(self.ga.start_time, self._input_phase)
         for offset in spec.snapshot_offsets:
             self.schedule_timer(
-                self.ga.time_of_snapshot(offset),
-                lambda o=offset: self.ga.take_snapshot(o),
-                note=f"ga-snapshot-{offset}",
+                self.ga.time_of_snapshot(offset), lambda o=offset: self.ga.take_snapshot(o)
             )
         for grade_spec in spec.grades:
             self.schedule_timer(
                 self.ga.time_of_output(grade_spec.grade),
                 lambda g=grade_spec.grade: self._output_phase(g),
-                note=f"ga-output-{grade_spec.grade}",
             )
 
     # -- phases -------------------------------------------------------------
@@ -120,11 +117,6 @@ class GaHostValidator(BaseValidator):
             self.forward(envelope)
 
 
-ByzantineFactory = Callable[
-    [int, SigningKey, Simulator, Network, TraceBus], object
-]
-
-
 @dataclass
 class GaRunResult:
     """Outcome of one standalone GA execution."""
@@ -160,7 +152,7 @@ def run_standalone_ga(
     inputs: dict[int, Log | None],
     schedule: AwakeSchedule | None = None,
     corruption: CorruptionPlan | None = None,
-    byzantine_factory: ByzantineFactory | None = None,
+    byzantine_factory: NodeFactory | None = None,
     delay_policy: DelayPolicy | None = None,
     seed: int = 0,
     extra_ticks: int = 0,
@@ -181,60 +173,26 @@ def run_standalone_ga(
         extra_ticks: Extra run time past the GA end (adversary tails).
     """
 
-    simulator = Simulator(seed=seed)
-    registry = KeyRegistry(n, seed=seed)
-    policy = delay_policy if delay_policy is not None else UniformDelay(delta)
-    network = Network(simulator, delta, registry, policy)
-    observability = build_observability(trace_mode)
-    bus = observability.bus
-    schedule = schedule if schedule is not None else AwakeSchedule.always_awake(n)
     corruption = corruption if corruption is not None else CorruptionPlan.none()
-    controller = SleepController(simulator, network, schedule, corruption, bus)
-
-    byzantine = corruption.ever_byzantine()
-    hosts: dict[int, GaHostValidator] = {}
-    byzantine_nodes: list[object] = []
-    for vid in range(n):
-        key = registry.key_for(vid)
-        if vid in byzantine:
-            if byzantine_factory is None:
-                raise ValueError("byzantine validators declared but no factory given")
-            node = byzantine_factory(vid, key, simulator, network, bus)
-            network.register(node)  # type: ignore[arg-type]
-            controller.manage(node)  # type: ignore[arg-type]
-            byzantine_nodes.append(node)
-            continue
-        host = GaHostValidator(
-            vid,
-            key,
-            simulator,
-            network,
-            bus,
-            spec,
-            ga_key=(spec.name, 0),
-            start_time=0,
+    world = World(
+        n, delta, seed, schedule=schedule, corruption=corruption,
+        delay_policy=delay_policy, trace_mode=trace_mode,
+    )
+    world.populate(
+        corruption.ever_byzantine(),
+        lambda vid, *wiring: GaHostValidator(
+            vid, *wiring, spec, ga_key=(spec.name, 0), start_time=0,
             input_log=inputs.get(vid),
-        )
-        network.register(host)
-        controller.manage(host)
-        hosts[vid] = host
-
-    horizon = spec.duration_deltas * delta + extra_ticks
-    controller.install(horizon)
-    for host in hosts.values():
-        host.setup()
-    for node in byzantine_nodes:
-        setup = getattr(node, "setup", None)
-        if callable(setup):
-            setup()
-    simulator.run_until(horizon)
-
+        ),
+        byzantine_factory,
+    )
+    world.run_to(spec.duration_deltas * delta + extra_ticks)
     return GaRunResult(
-        outputs={vid: dict(host.outputs) for vid, host in hosts.items()},
-        trace=observability.trace,
-        network=network,
-        simulator=simulator,
-        honest_ids=frozenset(hosts),
-        analysis=observability.analysis,
-        observability=observability,
+        outputs={vid: dict(host.outputs) for vid, host in world.validators.items()},
+        trace=world.trace,
+        network=world.network,
+        simulator=world.simulator,
+        honest_ids=frozenset(world.validators),
+        analysis=world.observability.analysis,
+        observability=world.observability,
     )

@@ -30,7 +30,7 @@ lock (Section 6.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable
 
@@ -42,16 +42,16 @@ from repro.core.ga import GA3_SPEC, GaInstance
 from repro.core.proposals import ProposalBook
 from repro.core.state import HandleOutcome
 from repro.core.validator import BaseValidator
-from repro.net.delays import DelayPolicy, UniformDelay
+from repro.core.world import World
+from repro.net.delays import DelayPolicy
 from repro.net.messages import Envelope, LogMessage, ProposalMessage
 from repro.net.network import Network
 from repro.sim.clock import TimeConfig
 from repro.sim.simulator import Simulator
-from repro.sleepy.controller import SleepController
 from repro.sleepy.corruption import CorruptionPlan
 from repro.sleepy.schedule import AwakeSchedule
 from repro.trace import DecisionEvent, GaOutputEvent, ProposalEvent, Trace, VotePhaseEvent
-from repro.tracebus import Observability, TraceBus, build_observability
+from repro.tracebus import Observability, TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only, avoids analysis cycle
     from repro.analysis.streaming import StreamingAnalyzer
@@ -301,12 +301,12 @@ class TobSvdValidator(BaseValidator):
         for view in range(first_view, num_views + 1):
             start = self._time.view_start(view)
             if view < num_views:
-                self.schedule_timer(start, partial(self._propose_phase, view), note=f"propose-{view}")
-                self.schedule_timer(start + delta, partial(self._vote_phase, view), note=f"vote-{view}")
+                self.schedule_timer(start, partial(self._propose_phase, view))
+                self.schedule_timer(start + delta, partial(self._vote_phase, view))
             if first_view == 0 or view > first_view:
-                self.schedule_timer(start + 2 * delta, partial(self._decide_phase, view), note=f"decide-{view}")
+                self.schedule_timer(start + 2 * delta, partial(self._decide_phase, view))
             if view < num_views:
-                self.schedule_timer(start + 3 * delta, partial(self._second_snapshot_phase, view), note=f"snap2-{view}")
+                self.schedule_timer(start + 3 * delta, partial(self._second_snapshot_phase, view))
 
     def adopt_config(self, config: TobSvdConfig) -> None:
         """Point this validator at an updated run config (horizon extension)."""
@@ -456,7 +456,7 @@ class TobSvdResult:
         return {vid: val.highest_decided for vid, val in self.validators.items()}
 
 
-class TobSvdProtocol:
+class TobSvdProtocol(World):
     """Builds and runs one TOB-SVD execution."""
 
     def __init__(
@@ -473,33 +473,19 @@ class TobSvdProtocol:
         registry: KeyRegistry | None = None,
         fault_plan=None,
     ) -> None:
-        self.config = config
-        self.fault_plan = fault_plan
-        self.simulator = Simulator(seed=config.seed)
-        # A caller-provided registry must be the (n, seed) one this run
-        # would build itself — the sweep prebuild cache hands back exactly
-        # that, amortizing keyset construction across cells and runs.
-        if registry is not None and registry.n != config.n:
-            raise ValueError(
-                f"prebuilt registry covers n={registry.n}, run needs n={config.n}"
-            )
-        self.registry = (
-            registry if registry is not None else KeyRegistry(config.n, seed=config.seed)
-        )
-        policy = delay_policy if delay_policy is not None else UniformDelay(config.delta)
-        self.network = Network(
-            self.simulator,
+        super().__init__(
+            config.n,
             config.delta,
-            self.registry,
-            policy,
+            config.seed,
+            schedule=schedule,
+            corruption=corruption,
+            delay_policy=delay_policy,
+            trace_mode=trace_mode,
+            registry=registry,
             buffer_while_asleep=buffer_while_asleep,
             fault_plan=fault_plan,
         )
-        self.observability = build_observability(trace_mode)
-        self.trace = self.observability.trace
-        self._bus = self.observability.bus
-        self.schedule = schedule if schedule is not None else AwakeSchedule.always_awake(config.n)
-        self.corruption = corruption if corruption is not None else CorruptionPlan.none()
+        self.config = config
         self.pool = pool if pool is not None else TransactionPool()
         self.context = ProtocolContext(
             config=config,
@@ -507,35 +493,14 @@ class TobSvdProtocol:
             pool=self.pool,
             registry=self.registry,
         )
-        self._controller = SleepController(
-            self.simulator, self.network, self.schedule, self.corruption, self._bus,
-            fault_plan=fault_plan,
-        )
-        self.validators: dict[int, TobSvdValidator] = {}
-        self.byzantine_nodes: dict[int, object] = {}
-
-        self._started = False
-
         validator_class = validator_class if validator_class is not None else TobSvdValidator
-        byzantine = self.corruption.initial_byzantine
-        for vid in range(config.n):
-            key = self.registry.key_for(vid)
-            if vid in byzantine:
-                if byzantine_factory is None:
-                    raise ValueError("byzantine validators declared but no factory given")
-                node = byzantine_factory(
-                    vid, key, self.simulator, self.network, self._bus, self.context
-                )
-                self.network.register(node)  # type: ignore[arg-type]
-                self._controller.manage(node)  # type: ignore[arg-type]
-                self.byzantine_nodes[vid] = node
-                continue
-            validator = validator_class(
-                vid, key, self.simulator, self.network, self._bus, self.context
-            )
-            self.network.register(validator)
-            self._controller.manage(validator)
-            self.validators[vid] = validator
+        self.populate(
+            self.corruption.initial_byzantine,
+            lambda *wiring: validator_class(*wiring, self.context),
+            None
+            if byzantine_factory is None
+            else lambda *wiring: byzantine_factory(*wiring, self.context),
+        )
 
     def run(self) -> TobSvdResult:
         """Execute the configured number of views and return the result."""
@@ -545,12 +510,6 @@ class TobSvdProtocol:
         return self.finish()
 
     # -- staged execution (snapshot/fork entry points) ---------------------
-
-    @property
-    def controller(self) -> SleepController:
-        """The run's sleep controller (snapshot forks install faults here)."""
-
-        return self._controller
 
     def start(self) -> None:
         """Install the controller and every validator/adversary timer.
@@ -562,32 +521,15 @@ class TobSvdProtocol:
         (or on a forked copy) resumes without re-installing anything.
         """
 
-        if self._started:
-            return
-        horizon = self.config.horizon
-        self._controller.install(horizon)
-        for validator in self.validators.values():
-            validator.setup()
-        for node in self.byzantine_nodes.values():
-            setup = getattr(node, "setup", None)
-            if callable(setup):
-                setup()
-        self._started = True
-
-    def advance(self, until: int) -> None:
-        """Process all events up to and including tick ``until``."""
-
-        if not self._started:
-            raise RuntimeError("advance() before start(); call start() first")
-        self.simulator.run_until(until)
+        super().start(self.config.horizon)
 
     def extend_horizon(self, new_num_views: int) -> None:
         """Grow a started run to ``new_num_views`` (snapshot-fork override).
 
-        Installs only the missing phase timers, participation transitions,
-        corruptions and fault events in the extension window, preserving
-        the from-genesis relative CONTROL/TIMER bucket order (validators
-        in id order, install families in the order :meth:`start` uses).
+        Installs only what the extension window is missing — the
+        controller's events in ``(old horizon, new horizon]``, then phase
+        timers — in the order :meth:`start` uses, so every calendar bucket
+        ends up ordered as in a from-genesis run of the longer horizon.
         """
 
         old = self.config.num_views
@@ -601,7 +543,7 @@ class TobSvdProtocol:
         config = replace(self.config, num_views=new_num_views)
         self.config = config
         self.context.config = config
-        self._controller.extend_horizon(old_horizon, config.horizon)
+        self.controller.install(config.horizon, after=old_horizon)
         for validator in self.validators.values():
             validator.adopt_config(config)
             validator.install_phase_timers(old, new_num_views)

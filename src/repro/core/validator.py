@@ -141,7 +141,7 @@ class BaseValidator:
 
     # -- timers ----------------------------------------------------------------
 
-    def schedule_timer(self, time: int, callback: Callable[[], None], note: str = "") -> None:
+    def schedule_timer(self, time: int, callback: Callable[[], None]) -> None:
         """Schedule a protocol action that only runs if awake and honest."""
 
         self._sim.schedule_callback(time, EventPriority.TIMER, GuardedTimer(self, callback))

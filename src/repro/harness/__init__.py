@@ -34,7 +34,6 @@ from repro.harness.scenarios import (
     churn_scenario,
     equivocating_scenario,
     late_join_scenario,
-    run_scenario,
     stable_scenario,
 )
 from repro.harness.sweep import (
@@ -65,7 +64,6 @@ __all__ = [
     "churn_scenario",
     "equivocating_scenario",
     "late_join_scenario",
-    "run_scenario",
     "stable_scenario",
     "Cell",
     "ExperimentSpec",

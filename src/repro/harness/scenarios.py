@@ -33,7 +33,7 @@ import random
 from repro.adversary.tob_attackers import make_tob_attacker_factory
 from repro.chain.transactions import TransactionPool
 from repro.crypto.signatures import KeyRegistry
-from repro.core.tobsvd import TobSvdConfig, TobSvdProtocol, TobSvdResult
+from repro.core.tobsvd import TobSvdConfig, TobSvdProtocol
 from repro.faults import FaultSpec, crashed_schedule
 from repro.sleepy.compliance import check_compliance
 from repro.sleepy.corruption import CorruptionPlan
@@ -79,10 +79,8 @@ def equivocating_scenario(
     the ½ resilience bound.
     """
 
-    if not 0 <= f < (n + 1) // 2 + (n % 2):
-        raise ValueError("f out of range")
-    if 2 * f >= n:
-        raise ValueError(f"f={f} violates |B| < 1/2 of {n} active validators")
+    if f < 0 or 2 * f >= n:
+        raise ValueError(f"f={f} violates 0 <= |B| < 1/2 of {n} active validators")
     config = TobSvdConfig(n=n, num_views=num_views, delta=delta, seed=seed)
     corruption = CorruptionPlan.static(frozenset(range(n - f, n)))
     return TobSvdProtocol(
@@ -407,9 +405,3 @@ def partition_scenario(
     return TobSvdProtocol(
         config, fault_plan=plan, pool=pool, trace_mode=trace_mode, registry=registry
     )
-
-
-def run_scenario(protocol: TobSvdProtocol) -> TobSvdResult:
-    """Run a built scenario (kept separate so callers can inject traffic first)."""
-
-    return protocol.run()

@@ -25,20 +25,19 @@ Two deliberate scoping rules, both echoing the PR 1 intern-table lesson
 
 The :class:`LineageStore` is the run's log-lineage index, keyed by *tip
 block id*.  Logs form append-only lineages, so the tip id determines the
-entire chain; the store lets protocol code resolve a received log — or a
-raw block sequence, e.g. a recovery response — against everything the
-run has already validated in O(1), and validate/walk only the *new
-suffix* rather than the whole chain.
+entire chain; :meth:`LineageStore.note` maps a received log to the first
+instance the run saw for that tip in O(1), so equal logs share one object
+and its memoised caches.  (Raw block sequences off the wire are resolved
+by the codec's ``LineageMemo``, the one suffix-validating resolver.)
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.chain.log import Log
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.chain.block import Block
     from repro.net.messages import Envelope
 
 
@@ -64,53 +63,6 @@ class LineageStore:
         """Record ``log`` (and return the canonical instance for its tip)."""
 
         return self._by_tip.setdefault(log.tip.block_id, log)
-
-    def by_tip(self, tip_block_id: str) -> Log | None:
-        """The known log ending in ``tip_block_id``, or None (O(1))."""
-
-        return self._by_tip.get(tip_block_id)
-
-    def resolve(self, blocks: Sequence["Block"]) -> Log:
-        """Build (or reuse) the log for a raw block sequence.
-
-        The longest suffix-free path: if the full sequence's tip is
-        already known, that shared instance is returned outright.
-        Otherwise the store walks *backwards* to the deepest known
-        prefix and validates/links only the blocks above it — O(new
-        suffix), not O(chain length).  With no known prefix at all this
-        degenerates to the fully-validating :class:`Log` constructor.
-
-        Raises ``ValueError`` exactly where ``Log(blocks)`` would: on an
-        empty sequence, a non-genesis root, or a broken parent link in
-        the unvalidated suffix.
-        """
-
-        if not blocks:
-            raise ValueError("a log contains at least the genesis block")
-        by_tip = self._by_tip
-        known = by_tip.get(blocks[-1].block_id)
-        if known is not None and len(known) == len(blocks):
-            return known
-        # Deepest known prefix: block ids are content digests chaining the
-        # parent id, so an id match at position k-1 certifies blocks[:k].
-        log: Log | None = None
-        start = 0
-        for k in range(len(blocks) - 1, 0, -1):
-            candidate = by_tip.get(blocks[k - 1].block_id)
-            if candidate is not None and len(candidate) == k:
-                log, start = candidate, k
-                break
-        if log is None:
-            log = Log(blocks[:1])  # validates the genesis root
-            start = 1
-        for block in blocks[start:]:
-            if block.parent_id != log.tip.block_id:
-                raise ValueError(
-                    f"broken parent link: {block!r} does not extend {log.tip!r}"
-                )
-            log = Log._trusted(log.blocks + (block,), parent=log)
-            by_tip.setdefault(block.block_id, log)
-        return log
 
 
 class RunContext:
@@ -166,8 +118,3 @@ class RunContext:
         """Record a validated log in the lineage store (shared instance)."""
 
         return self.lineage.note(log)
-
-    def resolve_log(self, blocks: Iterable["Block"]) -> Log:
-        """Resolve raw blocks against the lineage (O(new suffix))."""
-
-        return self.lineage.resolve(tuple(blocks))

@@ -11,6 +11,6 @@ assumes.
 """
 
 from repro.sim.clock import TimeConfig
-from repro.sim.simulator import EventPriority, ScheduledEvent, Simulator
+from repro.sim.simulator import EventPriority, Simulator
 
-__all__ = ["TimeConfig", "EventPriority", "ScheduledEvent", "Simulator"]
+__all__ = ["TimeConfig", "EventPriority", "Simulator"]

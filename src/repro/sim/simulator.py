@@ -4,7 +4,7 @@ The simulator is deliberately minimal: a scheduler over
 ``(time, priority, seq)``-ordered callbacks and a run loop.  Determinism
 is a hard requirement — every experiment in EXPERIMENTS.md is
 reproducible from its seed — so the only tie-breakers are the explicit
-priority class and a monotonically increasing sequence number.
+priority class and ``seq``, the order in which events were scheduled.
 
 Scheduling is a **calendar/bucket queue**, not a heap: all event times
 are integer ticks with a bounded horizon (a run of ``V`` views spans
@@ -12,23 +12,23 @@ are integer ticks with a bounded horizon (a run of ``V`` views spans
 keys events by tick.  A tick's slot holds its first event *directly*
 (lazy buckets: no allocation for the common single-event tick) and
 grows a real bucket — one append-only list per priority class — only
-when a second event lands on the same tick.  ``schedule`` is an O(1)
-dict insert/append; dispatch follows a **next-nonempty-bucket skip
-pointer** — a min-heap of pending ticks, pushed once per slot creation
-and popped once per slot drain — so run cost is
-O(ticks·log ticks + events), independent of how sparse the horizon is
-(a lone event a million ticks out costs one heap pop, not a
+when a second event lands on the same tick.  ``schedule_callback``, the
+only way into the calendar, is an O(1) dict insert/append; dispatch
+follows a **next-nonempty-bucket skip pointer** — a min-heap of pending
+ticks, pushed once per slot creation and popped once per slot drain — so
+run cost is O(ticks·log ticks + events), independent of how sparse the
+horizon is (a lone event a million ticks out costs one heap pop, not a
 million-tick cursor scan).  Within a bucket, append order *is* ``seq``
-order — ``seq`` increases monotonically — and the dispatch loop
-restarts from the most urgent priority class after every callback,
-which reproduces exactly the ``(time, priority, seq)`` total order a
-heap would yield (see ``tests/property/test_scheduler_equivalence.py``,
-which checks the bucket queue event-for-event, dense and sparse, against
-the heap scheduler kept as a test oracle in ``tests/naive_oracles.py``).
+order, and the dispatch loop restarts from the most urgent priority
+class after every callback, which reproduces exactly the
+``(time, priority, seq)`` total order a heap would yield (see
+``tests/property/test_scheduler_equivalence.py``, which checks the
+bucket queue event-for-event, dense and sparse, against the heap
+scheduler kept as a test oracle in ``tests/naive_oracles.py``).
 
-The :class:`ScheduledEvent` handle is a ``__slots__`` object rather than
-an ``order=True`` dataclass, which keeps per-event allocation small on
-the broadcast hot path.
+A calendar entry is the bare callable: no caller ever cancelled an
+event, so there is no handle object, no stored sequence number and no
+per-event ``cancelled`` check in the dispatch loops.
 """
 
 from __future__ import annotations
@@ -55,42 +55,15 @@ class EventPriority(IntEnum):
     ANALYSIS = 3
 
 
-class ScheduledEvent:
-    """Cancellable handle for one queued callback."""
-
-    __slots__ = ("time", "priority", "seq", "callback", "note", "cancelled", "_sim")
-
-    def __init__(
-        self,
-        time: int,
-        priority: int,
-        seq: int,
-        callback: Callable[[], None],
-        note: str,
-        sim: "Simulator",
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.note = note
-        self.cancelled = False
-        self._sim = sim
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        flag = " cancelled" if self.cancelled else ""
-        return f"ScheduledEvent(t={self.time},p={self.priority},#{self.seq}{flag})"
-
-
 class Simulator:
     """Deterministic discrete-event scheduler with integer time."""
 
     def __init__(self, seed: int = 0) -> None:
-        # tick -> slot.  A slot is either the tick's single pending entry
-        # (a ScheduledEvent handle, or a (priority, callback) pair from
-        # schedule_callback) or, once a second event lands on the tick, a
-        # full bucket: one list per priority class, appended in seq order
-        # (seq is monotone), so list order is dispatch order.
+        # tick -> slot.  A slot is either the tick's single pending entry,
+        # a (priority, callback) pair, or, once a second event lands on
+        # the tick, a full bucket: one list of callbacks per priority
+        # class, appended in scheduling order, so list order is dispatch
+        # order.
         self._buckets: dict[int, object] = {}
         self._bucket_pool: list[list[list]] = []  # drained buckets, reused
         # Min-heap of pending ticks: one entry per live slot, pushed on
@@ -98,11 +71,10 @@ class Simulator:
         # straight to the next nonempty tick instead of scanning every
         # tick, so sparse horizons cost O(log ticks).
         self._tick_heap: list[int] = []
-        self._seq = 0
         self._now = 0
         self._running = False
         self._events_processed = 0
-        self._live = 0  # queued events that are not cancelled
+        self._live = 0  # queued events not yet dispatched
         self.rng = random.Random(seed)
 
     @property
@@ -115,74 +87,16 @@ class Simulator:
     def events_processed(self) -> int:
         return self._events_processed
 
-    def schedule(
-        self,
-        time: int,
-        priority: EventPriority,
-        callback: Callable[[], None],
-        note: str = "",
-    ) -> ScheduledEvent:
-        """Schedule ``callback`` at ``time``; returns a cancellable handle."""
-
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule event at {time} before current time {self._now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        event = ScheduledEvent(time, int(priority), seq, callback, note, self)
-        slot = self._buckets.get(time)
-        if slot is None:
-            self._buckets[time] = event
-            heapq.heappush(self._tick_heap, time)
-        else:
-            if slot.__class__ is not list:
-                slot = self._promote(slot, time)
-            slot[event.priority].append(event)
-        self._live += 1
-        return event
-
-    def _promote(self, entry, time: int) -> list[list]:
-        """Replace a single-entry slot with a full bucket holding it.
-
-        Buckets are created lazily: a tick's dict slot holds its first
-        event directly (no bucket allocation, no per-tick list churn) and
-        only grows a real bucket when a second event lands on the same
-        tick.  The first entry keeps its dispatch position because it is
-        appended to its priority list before the newcomer.
-        """
-
-        pool = self._bucket_pool
-        bucket = pool.pop() if pool else [[], [], [], []]
-        if entry.__class__ is ScheduledEvent:
-            bucket[entry.priority].append(entry)
-        else:  # (priority, callback) pair from schedule_callback
-            bucket[entry[0]].append(entry[1])
-        self._buckets[time] = bucket
-        return bucket
-
-    def schedule_in(
-        self,
-        delay: int,
-        priority: EventPriority,
-        callback: Callable[[], None],
-        note: str = "",
-    ) -> ScheduledEvent:
-        """Schedule ``callback`` after ``delay`` ticks."""
-
-        return self.schedule(self._now + delay, priority, callback, note)
-
     def schedule_callback(
         self, time: int, priority: EventPriority, callback: Callable[[], None]
     ) -> None:
-        """Fire-and-forget fast path: schedule with no cancellable handle.
+        """Queue ``callback`` at ``(time, priority)``, behind what is there.
 
-        The broadcast/forward fanout schedules hundreds of thousands of
-        delivery events per run and never cancels one; storing the bare
-        callback in the bucket skips the :class:`ScheduledEvent`
-        allocation entirely.  Dispatch order is identical to
-        :meth:`schedule` — within a ``(time, priority)`` bucket list,
-        append order *is* seq order.
+        The one scheduling entry point.  Within a ``(time, priority)``
+        class, dispatch order is call order: callers that need a
+        reproducible calendar (every caller — see docs/ARCHITECTURE.md,
+        "Run assembly and calendar order") only have to make their calls
+        in a reproducible order.
         """
 
         if time < self._now:
@@ -196,50 +110,33 @@ class Simulator:
             heapq.heappush(self._tick_heap, time)
         else:
             if slot.__class__ is not list:
-                slot = self._promote(slot, time)
+                # Lazy bucket: the tick's first event was stored directly;
+                # it keeps its dispatch position because it enters its
+                # priority list before the newcomer.
+                pool = self._bucket_pool
+                first = slot
+                slot = self._buckets[time] = pool.pop() if pool else [[], [], [], []]
+                slot[first[0]].append(first[1])
             slot[prio].append(callback)
         self._live += 1
 
     def pending_callbacks(self):
-        """Iterate the callbacks of every live pending event.
+        """Iterate the callbacks of every pending event.
 
         Snapshot capture scans these (``functools.partial`` args expose
         in-flight envelopes) to decide which per-view protocol state is
-        still reachable.  Cancelled events are skipped; order is
-        unspecified.
+        still reachable.  Ticks come in slot-creation order; one tick's
+        callbacks come in dispatch order.
         """
 
         for slot in self._buckets.values():
-            if isinstance(slot, list):  # promoted bucket: list per priority
-                entries = (entry for events in slot for entry in events)
-            elif isinstance(slot, tuple):  # (priority, callback) single slot
-                entries = (slot[1],)
-            else:  # a lone ScheduledEvent
-                entries = (slot,)
-            for entry in entries:
-                if entry.__class__ is ScheduledEvent:
-                    if not entry.cancelled:
-                        yield entry.callback
-                else:
-                    yield entry
+            if slot.__class__ is list:
+                for callbacks in slot:
+                    yield from callbacks
+            else:
+                yield slot[1]
 
-    @staticmethod
-    def cancel(event: ScheduledEvent) -> None:
-        """Cancel a scheduled event (lazy removal from its bucket).
-
-        A no-op on events that already ran (``_sim`` is cleared on
-        dispatch) or were already cancelled, so the live pending counter
-        stays exact.
-        """
-
-        sim = event._sim
-        if sim is not None and not event.cancelled:
-            event.cancelled = True
-            sim._live -= 1
-
-    def _drain_bucket(
-        self, bucket: list[list[ScheduledEvent]], limit: int | None = None
-    ) -> int:
+    def _drain_bucket(self, bucket: list[list], limit: int | None = None) -> int:
         """Dispatch one tick's bucket in ``(priority, seq)`` order.
 
         Callbacks may append to this very bucket (a zero-delay delivery,
@@ -259,26 +156,19 @@ class Simulator:
         executed = 0
         while True:
             if i0 < len(l0):
-                event = l0[i0]
+                callback = l0[i0]
                 i0 += 1
             elif i1 < len(l1):
-                event = l1[i1]
+                callback = l1[i1]
                 i1 += 1
             elif i2 < len(l2):
-                event = l2[i2]
+                callback = l2[i2]
                 i2 += 1
             elif i3 < len(l3):
-                event = l3[i3]
+                callback = l3[i3]
                 i3 += 1
             else:
                 return executed
-            if event.__class__ is ScheduledEvent:
-                if event.cancelled:
-                    continue
-                event._sim = None  # executed: late cancel() becomes a no-op
-                callback = event.callback
-            else:
-                callback = event  # bare fire-and-forget callable
             self._live -= 1
             self._events_processed += 1
             callback()
@@ -350,16 +240,9 @@ class Simulator:
                 # processes next — exactly heap order, since nothing
                 # else was pending at this tick.
                 del buckets[tick]
-                if slot.__class__ is ScheduledEvent:
-                    if slot.cancelled:
-                        continue
-                    slot._sim = None
-                    callback = slot.callback
-                else:  # (priority, callback) pair from schedule_callback
-                    callback = slot[1]
                 self._live -= 1
                 self._events_processed += 1
-                callback()
+                slot[1]()
                 if remaining is not None:
                     remaining -= 1
                     if remaining < 0:
@@ -368,6 +251,6 @@ class Simulator:
             self._running = False
 
     def pending_count(self) -> int:
-        """Number of not-yet-cancelled queued events (live counter, O(1))."""
+        """Number of queued, not yet dispatched events (live counter, O(1))."""
 
         return self._live

@@ -23,6 +23,15 @@ plan crashes the isolated group itself).
 
 CONTROL priority means all of this happens before same-tick deliveries and
 protocol timers, so a validator waking at ``t`` participates fully at ``t``.
+
+All of it enters the calendar through :meth:`SleepController.install`, a
+windowed pass over ``(after, horizon]`` with one loop per event family:
+the genesis install is ``after = -1``, a horizon extension is a second
+call with ``after`` set to the old horizon, and a fork adopting a fault
+plan replays the two fault families only.  Within a ``(tick, CONTROL)``
+bucket events run in the order they were written, so that family order
+is part of every run's bytes (docs/ARCHITECTURE.md, "Run assembly and
+calendar order").
 """
 
 from __future__ import annotations
@@ -83,181 +92,88 @@ class SleepController:
         self._nodes[node.validator_id] = node
         vid = node.validator_id
         if vid in self._corruption.initial_byzantine:
-            self._set_awake(vid, True)
+            self._network.set_awake(vid, True)
             node.corrupted = True
         else:
-            self._set_awake(vid, self._schedule.awake(vid, 0))
+            self._network.set_awake(vid, self._schedule.awake(vid, 0))
 
-    def install(self, horizon: int) -> None:
-        """Schedule every transition within ``[0, horizon]``."""
+    def install(self, horizon: int, after: int = -1) -> None:
+        """Schedule every CONTROL event whose tick lies in ``(after, horizon]``.
 
+        The genesis install is the ``after = -1`` case; a horizon extension
+        calls again with ``after`` set to the old horizon.  Every call
+        writes the event families in the same order — transitions per node
+        in registration order, corruptions, crash/recover, partition
+        markers — and a ``(tick, CONTROL)`` bucket lies wholly inside one
+        window, so split installs leave each bucket in the order a single
+        from-genesis install of the longer horizon would.
+        """
+
+        window = (after, horizon)
+        byzantine = self._corruption.initial_byzantine
         for vid in self._nodes:
-            if vid in self._corruption.initial_byzantine:
+            if vid in byzantine:
                 continue  # always awake, never transitions
             for time, becomes_awake in self._schedule.transition_times(vid, horizon):
                 if time == 0:
-                    self._set_awake(vid, becomes_awake)
-                    continue
-                if becomes_awake:
-                    self._sim.schedule(
-                        time,
-                        EventPriority.CONTROL,
-                        partial(self._wake, vid),
-                        note=f"wake v{vid}",
-                    )
-                else:
-                    self._sim.schedule(
-                        time,
-                        EventPriority.CONTROL,
-                        partial(self._sleep, vid),
-                        note=f"sleep v{vid}",
-                    )
+                    continue  # manage() applied the state at tick 0
+                self._at(time, window, self._wake if becomes_awake else self._sleep, vid)
         for corruption in self._corruption.corruption_events():
-            if corruption.effective_at > horizon:
-                continue
-            self._sim.schedule(
-                max(corruption.effective_at, 0),
-                EventPriority.CONTROL,
-                partial(self._corrupt, corruption.validator),
-                note=f"corrupt v{corruption.validator}",
-            )
-        if self._faults is not None:
-            self._install_faults(horizon)
-
-    def extend_horizon(self, old_horizon: int, horizon: int) -> None:
-        """Install transitions/corruptions/faults in ``(old_horizon, horizon]``.
-
-        The companion of :meth:`TobSvdProtocol.extend_horizon`: events at or
-        before ``old_horizon`` are already in the calendar from the original
-        :meth:`install`, so only the extension window is added, in the same
-        family order install uses.
-        """
-
-        for vid, node in self._nodes.items():
-            if vid in self._corruption.initial_byzantine:
-                continue
-            for time, becomes_awake in self._schedule.transition_times(vid, horizon):
-                if time <= old_horizon:
-                    continue
-                self._sim.schedule(
-                    time,
-                    EventPriority.CONTROL,
-                    partial(self._wake if becomes_awake else self._sleep, vid),
-                    note=f"{'wake' if becomes_awake else 'sleep'} v{vid}",
-                )
-        for corruption in self._corruption.corruption_events():
-            if not old_horizon < corruption.effective_at <= horizon:
-                continue
-            self._sim.schedule(
-                corruption.effective_at,
-                EventPriority.CONTROL,
-                partial(self._corrupt, corruption.validator),
-                note=f"corrupt v{corruption.validator}",
-            )
-        if self._faults is None:
-            return
-        byzantine = self._corruption.initial_byzantine
-        for window in self._faults.crash_windows:
-            vid = window.validator
-            if vid not in self._nodes or vid in byzantine:
-                continue
-            if old_horizon < window.start <= horizon:
-                self._sim.schedule(
-                    window.start,
-                    EventPriority.CONTROL,
-                    partial(self._crash, vid),
-                    note=f"crash v{vid}",
-                )
-            if window.start <= horizon and old_horizon < window.end <= horizon:
-                self._sim.schedule(
-                    window.end,
-                    EventPriority.CONTROL,
-                    partial(self._recover, vid),
-                    note=f"recover v{vid}",
-                )
-        if self._bus is None:
-            return
-        for window in self._faults.partition_windows:
-            for vid in window.isolated:
-                if old_horizon < window.start <= horizon:
-                    self._sim.schedule(
-                        window.start,
-                        EventPriority.CONTROL,
-                        partial(self._partition_marker, "partition", vid),
-                        note=f"partition v{vid}",
-                    )
-                if window.start <= horizon and old_horizon < window.heal <= horizon:
-                    self._sim.schedule(
-                        window.heal,
-                        EventPriority.CONTROL,
-                        partial(self._partition_marker, "heal", vid),
-                        note=f"heal v{vid}",
-                    )
+            self._at(corruption.effective_at, window, self._corrupt, corruption.validator)
+        self._install_faults(window)
 
     def adopt_fault_plan(self, plan, horizon: int) -> None:
         """Adopt a fault plan mid-run (snapshot fork) and schedule its events.
 
         Only sound when every window in ``plan`` starts strictly after the
         current simulation time: the relative CONTROL-bucket order then
-        matches a from-genesis install, because install order (transitions →
-        corruptions → crash/recover → partition markers) is preserved — the
-        first two families are already in the restored calendar with lower
-        sequence numbers.
+        matches a from-genesis install, because family order is preserved —
+        transitions and corruptions are already in the restored calendar,
+        ahead of anything scheduled now.
         """
 
         self._faults = plan
-        self._install_faults(horizon)
+        self._install_faults((-1, horizon))
 
-    def _install_faults(self, horizon: int) -> None:
-        """Schedule the fault plan's crash/recover and partition markers."""
+    def corrupt_at(self, vid: int, time: int) -> None:
+        """Schedule one more corruption of ``vid``, effective at ``time``.
 
+        For what-if forks: the event lands behind everything already in
+        its bucket, not where a plan that held this corruption from genesis
+        would have put it.
+        """
+
+        self._sim.schedule_callback(time, EventPriority.CONTROL, partial(self._corrupt, vid))
+
+    def _install_faults(self, window: tuple[int, int]) -> None:
+        """The fault plan's crash/recover events and partition markers."""
+
+        if self._faults is None:
+            return
         byzantine = self._corruption.initial_byzantine
-        for window in self._faults.crash_windows:
-            vid = window.validator
+        for crash in self._faults.crash_windows:
+            vid = crash.validator
             if vid not in self._nodes or vid in byzantine:
                 continue  # compile() protects Byzantine ids; belt and braces
-            if window.start > horizon:
-                continue
-            self._sim.schedule(
-                max(window.start, 0),
-                EventPriority.CONTROL,
-                partial(self._crash, vid),
-                note=f"crash v{vid}",
-            )
-            if window.end <= horizon:
-                self._sim.schedule(
-                    window.end,
-                    EventPriority.CONTROL,
-                    partial(self._recover, vid),
-                    note=f"recover v{vid}",
-                )
+            self._at(crash.start, window, self._crash, vid)
+            self._at(crash.end, window, self._recover, vid)
         if self._bus is None:
             return
-        for window in self._faults.partition_windows:
-            if window.start > horizon:
-                continue
-            for vid in window.isolated:
-                self._sim.schedule(
-                    max(window.start, 0),
-                    EventPriority.CONTROL,
-                    partial(self._partition_marker, "partition", vid),
-                    note=f"partition v{vid}",
-                )
-                if window.heal <= horizon:
-                    self._sim.schedule(
-                        window.heal,
-                        EventPriority.CONTROL,
-                        partial(self._partition_marker, "heal", vid),
-                        note=f"heal v{vid}",
-                    )
+        for partition in self._faults.partition_windows:
+            for vid in partition.isolated:
+                self._at(partition.start, window, self._partition_marker, "partition", vid)
+                self._at(partition.heal, window, self._partition_marker, "heal", vid)
 
-    # -- transitions --------------------------------------------------------
+    def _at(self, time: int, window: tuple[int, int], action, *args) -> None:
+        """Schedule ``action(*args)`` at ``time`` (clamped to tick 0) if that
+        falls inside ``window = (after, horizon]``."""
 
-    def _set_awake(self, vid: int, awake: bool) -> None:
-        """Every awake transition goes through the network, which mirrors
-        the flag in the asleep mask its delivery plans consult."""
+        time = max(time, 0)
+        if window[0] < time <= window[1]:
+            self._sim.schedule_callback(time, EventPriority.CONTROL, partial(action, *args))
 
-        self._network.set_awake(vid, awake)
+    # -- transitions (every awake flip goes through Network.set_awake, which
+    # mirrors the flag in the asleep mask its delivery plans consult) --------
 
     def _wake(self, vid: int) -> None:
         if vid in self._crashed:
@@ -265,7 +181,7 @@ class SleepController:
         node = self._nodes[vid]
         if node.corrupted:
             return  # Byzantine validators are always awake already
-        self._set_awake(vid, True)
+        self._network.set_awake(vid, True)
         self._network.flush_pending(vid)
         node.on_wake(self._sim.now)
         if self._bus is not None:
@@ -277,7 +193,7 @@ class SleepController:
             return
         if not node.awake:
             return  # already down (crashed mid-schedule)
-        self._set_awake(vid, False)
+        self._network.set_awake(vid, False)
         node.on_sleep(self._sim.now)
         if self._bus is not None:
             self._bus.emit_control(ControlEvent(self._sim.now, "sleep", vid))
@@ -290,7 +206,7 @@ class SleepController:
             return  # the model keeps Byzantine validators always awake
         self._crashed.add(vid)
         if node.awake:
-            self._set_awake(vid, False)
+            self._network.set_awake(vid, False)
             node.on_sleep(self._sim.now)
         if self._bus is not None:
             self._bus.emit_control(ControlEvent(self._sim.now, "crash", vid))
@@ -303,7 +219,7 @@ class SleepController:
         if node.corrupted:
             return
         if not node.awake and self._schedule.awake(vid, self._sim.now):
-            self._set_awake(vid, True)
+            self._network.set_awake(vid, True)
             self._network.flush_pending(vid)
             node.on_wake(self._sim.now)
         if self._bus is not None:
@@ -317,7 +233,7 @@ class SleepController:
         if node.corrupted:
             return
         node.corrupted = True
-        self._set_awake(vid, True)  # Byzantine validators remain always awake
+        self._network.set_awake(vid, True)  # Byzantine validators remain always awake
         self._network.flush_pending(vid)
         node.on_corrupted(self._sim.now)
         if self._bus is not None:

@@ -32,18 +32,25 @@ share mutable state) and optionally applies overrides:
   override: the from-genesis run's extra CONTROL events all lie after the
   fork point and install in the same relative bucket order (see
   :meth:`SleepController.adopt_fault_plan`).
-* ``num_views`` — extend the horizon; missing phase timers, participation
-  transitions, corruptions and fault events are installed in from-genesis
-  family order (:meth:`TobSvdProtocol.extend_horizon`).
+* ``num_views`` — extend the horizon:
+  :meth:`TobSvdProtocol.extend_horizon` is a second
+  ``SleepController.install(new_horizon, after=old_horizon)`` plus the
+  missing phase timers, written in the order ``start()`` writes them.
 * ``corrupt`` — additional ``{validator: time}`` corruptions after the
-  fork point (what-if exploration).
+  fork point (what-if exploration), via ``SleepController.corrupt_at``.
 * ``delay_policy`` — swap the message-delay policy from the fork point
   (what-if exploration; no from-genesis counterpart is claimed).
 
-The scheduler seq counter keeps counting from the prefix, so events
-scheduled by a fork get *higher* seq numbers than anything the prefix
-installed — which is exactly the order a from-genesis run with the same
-configuration would have produced within each ``(time, priority)`` bucket.
+Within a ``(time, priority)`` bucket the calendar runs events in the
+order they were scheduled, so whatever a fork schedules lands *behind*
+everything the prefix installed — which is exactly the order a
+from-genesis run with the same configuration would have produced, since
+every bucket lies wholly inside one install window.
+
+``SNAPSHOT_VERSION`` 5: the pickled calendar holds bare callables (v4
+held cancellable event handles and a simulator ``_seq`` counter) and a
+run is a :class:`~repro.core.world.World` whose controller is the public
+``controller`` attribute; v4 blobs are refused at the header.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from repro.faults import FaultSpec
 if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.core.tobsvd import TobSvdConfig, TobSvdProtocol, TobSvdResult
 
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 MAGIC = b"RPROSNAP"
 _HEADER_LEN = struct.Struct(">I")
 
@@ -306,7 +313,6 @@ def fork(
     """
 
     from repro.harness.scenarios import compile_checked_fault_plan
-    from repro.sim.simulator import EventPriority
 
     protocol = snapshot.thaw()
     tick = snapshot.meta.tick
@@ -327,21 +333,13 @@ def fork(
         protocol.fault_plan = fault_plan
         protocol.controller.adopt_fault_plan(fault_plan, protocol.config.horizon)
     if corrupt:
-        from functools import partial
-
-        controller = protocol.controller
         for vid, time in sorted(corrupt.items(), key=lambda kv: (kv[1], kv[0])):
             if time <= tick:
                 raise SnapshotError(
                     f"corruption of v{vid} at t={time} is on or before the "
                     f"fork tick t={tick}"
                 )
-            protocol.simulator.schedule(
-                time,
-                EventPriority.CONTROL,
-                partial(controller._corrupt, vid),
-                note=f"fork-corrupt v{vid}",
-            )
+            protocol.controller.corrupt_at(vid, time)
     if delay_policy is not None:
         protocol.network.set_delay_policy(delay_policy)
     return protocol

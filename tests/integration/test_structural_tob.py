@@ -7,6 +7,7 @@ from repro.baselines import StructuralTob
 from repro.baselines.structural_tob import StructuralConfig
 from repro.baselines.structure import TABLE1_ORDER, structure_for
 from repro.chain.transactions import TransactionPool
+from repro.net.network import AwakeMaskError
 from repro.sleepy.corruption import CorruptionPlan
 
 BASELINES = [name for name in TABLE1_ORDER if name != "tobsvd"]
@@ -85,6 +86,36 @@ class TestGuards:
         # simulator must refuse it (the real implementation exists).
         with pytest.raises(ValueError):
             StructuralTob(structure_for("tobsvd"), StructuralConfig(n=4, num_views=2))
+
+
+class TestRunAssembly:
+    """What the structural driver gets from :class:`repro.core.world.World`."""
+
+    def test_second_run_installs_nothing_again(self):
+        tob = StructuralTob(
+            structure_for("mmr2"),
+            StructuralConfig(n=6, num_views=3, delta=2, seed=1),
+            corruption=CorruptionPlan.static(frozenset({5})),
+        )
+
+        def outcome(result):
+            return (
+                [(e.time, e.view, e.validator, e.log.log_id) for e in result.trace.decisions],
+                result.simulator.events_processed,
+            )
+
+        first = outcome(tob.run())
+        assert first[0]
+        # At the parent commit the second run() wrote every CONTROL and
+        # TIMER event into the calendar a second time.
+        assert outcome(tob.run()) == first
+        assert tob.simulator.pending_count() == 0
+
+    def test_run_fails_when_the_awake_mask_went_stale(self):
+        tob = StructuralTob(structure_for("gl"), StructuralConfig(n=4, num_views=2, delta=2))
+        tob.validators[2].awake = False  # bypasses Network.set_awake
+        with pytest.raises(AwakeMaskError, match="validator 2"):
+            tob.run()
 
 
 class TestForwardingSplit:

@@ -17,87 +17,59 @@ from typing import Callable, Iterable
 from repro.chain.log import Log
 from repro.core.quorum import meets_quorum
 from repro.core.state import Pair
-from repro.sim.simulator import EventPriority, ScheduledEvent, Simulator
+from repro.sim.simulator import EventPriority, Simulator
 
 
 class HeapSimulator(Simulator):
     """The pre-bucket-queue heap scheduler, kept as a reference oracle.
 
     Semantically identical to :class:`Simulator`: a binary heap of
-    ``(time, priority, seq, event)`` tuples dispatched in ascending
+    ``(time, priority, seq, callback)`` tuples dispatched in ascending
     order, so randomized equivalence tests can check the bucket queue
     event-for-event against an independent implementation.
     """
 
     def __init__(self, seed: int = 0) -> None:
         super().__init__(seed)
-        self._queue: list[tuple[int, int, int, ScheduledEvent]] = []
-
-    def schedule(
-        self,
-        time: int,
-        priority: EventPriority,
-        callback: Callable[[], None],
-        note: str = "",
-    ) -> ScheduledEvent:
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule event at {time} before current time {self._now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        event = ScheduledEvent(time, int(priority), seq, callback, note, self)
-        heapq.heappush(self._queue, (time, event.priority, seq, event))
-        self._live += 1
-        return event
+        self._queue: list[tuple[int, int, int, Callable[[], None]]] = []
+        self._seq = 0
 
     def schedule_callback(
         self, time: int, priority: EventPriority, callback: Callable[[], None]
     ) -> None:
-        """Handle-free scheduling, via a full handle (reference semantics)."""
+        if time < self._now:
+            raise ValueError(
+                f"cannot schedule event at {time} before current time {self._now}"
+            )
+        heapq.heappush(self._queue, (time, int(priority), self._seq, callback))
+        self._seq += 1
+        self._live += 1
 
-        self.schedule(time, priority, callback)
-
-    def run_until(self, end_time: int) -> None:
-        if self._running:
-            raise RuntimeError("simulator is not re-entrant")
-        self._running = True
-        queue = self._queue
-        try:
-            while queue and queue[0][0] <= end_time:
-                event = heapq.heappop(queue)[3]
-                if event.cancelled:
-                    continue
-                event._sim = None
-                self._live -= 1
-                self._now = event.time
-                self._events_processed += 1
-                event.callback()
-            self._now = max(self._now, end_time)
-        finally:
-            self._running = False
-
-    def run_to_exhaustion(self, safety_limit: int = 10_000_000) -> None:
+    def _dispatch(self, end_time: int | None, safety_limit: int | None) -> None:
         if self._running:
             raise RuntimeError("simulator is not re-entrant")
         self._running = True
         queue = self._queue
         processed = 0
         try:
-            while queue:
-                event = heapq.heappop(queue)[3]
-                if event.cancelled:
-                    continue
-                event._sim = None
+            while queue and (end_time is None or queue[0][0] <= end_time):
+                time, _priority, _seq, callback = heapq.heappop(queue)
                 self._live -= 1
-                self._now = event.time
+                self._now = time
                 self._events_processed += 1
-                event.callback()
+                callback()
                 processed += 1
-                if processed > safety_limit:
+                if safety_limit is not None and processed > safety_limit:
                     raise RuntimeError("event-loop safety limit exceeded")
         finally:
             self._running = False
+
+    def run_until(self, end_time: int) -> None:
+        self._dispatch(end_time, None)
+        self._now = max(self._now, end_time)
+
+    def run_to_exhaustion(self, safety_limit: int = 10_000_000) -> None:
+        self._dispatch(None, safety_limit)
 
 
 def majority_chain_naive(pairs: Iterable[Pair], sender_count: int) -> list[Log]:

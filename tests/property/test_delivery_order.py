@@ -125,7 +125,7 @@ def run_workload(sim, n, script, split):
         priority = (
             EventPriority.CONTROL if op in ("sleep", "wake") else EventPriority.TIMER
         )
-        sim.schedule(time, priority, lambda o=op, v=vid, g=tag: do(o, v, g))
+        sim.schedule_callback(time, priority, lambda o=op, v=vid, g=tag: do(o, v, g))
     sim.run_until(30)
     # Final flush so buffered messages are observable in a fixed order.
     for node in nodes:
@@ -171,8 +171,8 @@ class TestDeliveryOrderInvariants:
                 )
             )
 
-        sim.schedule(0, EventPriority.TIMER, lambda: send(1, 0))
-        sim.schedule(1, EventPriority.TIMER, lambda: send(2, 1))
+        sim.schedule_callback(0, EventPriority.TIMER, lambda: send(1, 0))
+        sim.schedule_callback(1, EventPriority.TIMER, lambda: send(2, 1))
         sim.run_until(4)
         assert network.pending_count(2) == 2
 
@@ -184,8 +184,8 @@ class TestDeliveryOrderInvariants:
             network.flush_pending(2)
 
         # Wake at t=5 (CONTROL) with a same-tick timer: flush runs first.
-        sim.schedule(5, EventPriority.CONTROL, wake)
-        sim.schedule(
+        sim.schedule_callback(5, EventPriority.CONTROL, wake)
+        sim.schedule_callback(
             5, EventPriority.TIMER, lambda: order.append(("timer", None, None))
         )
         sim.run_until(5)
@@ -333,7 +333,7 @@ def run_script(network_class, n, script, kind, buffering):
             if op in ("bcast", "fwd", "direct")
             else EventPriority.CONTROL
         )
-        sim.schedule(time, priority, partial(do, op, a, b, tag))
+        sim.schedule_callback(time, priority, partial(do, op, a, b, tag))
     sim.run_until(40)
 
     def observe():

@@ -5,8 +5,7 @@ reproduce the exact ``(time, priority, seq)`` total order of the
 :class:`HeapSimulator` oracle (:mod:`tests.naive_oracles`).  These tests
 drive both schedulers with the same randomized workload — nested
 scheduling from inside callbacks, zero-delay same-tick events at every
-priority, cancellations, bare fire-and-forget callbacks — and require
-identical execution traces.
+priority — and require identical execution traces.
 """
 
 from hypothesis import given, settings
@@ -23,9 +22,9 @@ def schedules(draw):
     """A workload script: top-level events, each optionally spawning more.
 
     Each entry is ``(time, priority, spawns)`` where ``spawns`` is a list
-    of ``(extra_delay, priority, cancel_previous)`` actions the callback
-    performs when it runs; ``extra_delay`` 0 exercises same-tick
-    re-entry at every priority.
+    of ``(extra_delay, priority)`` events the callback schedules when it
+    runs; ``extra_delay`` 0 exercises same-tick re-entry at every
+    priority.
     """
 
     entries = draw(
@@ -37,7 +36,6 @@ def schedules(draw):
                     st.tuples(
                         st.integers(0, 4),  # extra delay (0 = same tick)
                         st.sampled_from(PRIORITIES),
-                        st.booleans(),  # cancel a previously-made handle
                     ),
                     max_size=3,
                 ),
@@ -53,34 +51,19 @@ def run_script(sim, entries, horizon=40):
     """Execute the script on ``sim``; returns the dispatch trace."""
 
     trace = []
-    handles = []
 
     def make_callback(label, spawns):
         def callback():
             trace.append((sim.now, label))
-            for j, (extra, prio, cancel) in enumerate(spawns):
-                if cancel and handles:
-                    # Deterministic pick: depends only on trace length.
-                    sim.cancel(handles[len(trace) % len(handles)])
-                sub_label = f"{label}.{j}"
-                if j % 2:
-                    sim.schedule_callback(
-                        sim.now + extra, prio, make_callback(sub_label, [])
-                    )
-                else:
-                    handles.append(
-                        sim.schedule(
-                            sim.now + extra, prio, make_callback(sub_label, [])
-                        )
-                    )
+            for j, (extra, prio) in enumerate(spawns):
+                sim.schedule_callback(
+                    sim.now + extra, prio, make_callback(f"{label}.{j}", [])
+                )
 
         return callback
 
     for i, (time, prio, spawns) in enumerate(entries):
-        if i % 3 == 2:
-            sim.schedule_callback(time, prio, make_callback(f"e{i}", spawns))
-        else:
-            handles.append(sim.schedule(time, prio, make_callback(f"e{i}", spawns)))
+        sim.schedule_callback(time, prio, make_callback(f"e{i}", spawns))
     sim.run_until(horizon)
     return trace
 
@@ -105,7 +88,6 @@ def sparse_schedules(draw):
                     st.tuples(
                         st.sampled_from([0, 1, 999_983]),  # spawn delay
                         st.sampled_from(PRIORITIES),
-                        st.booleans(),
                     ),
                     max_size=3,
                 ),
@@ -154,20 +136,20 @@ class TestSchedulerEquivalence:
         assert bucket.now == heap.now
 
     def test_run_to_exhaustion_matches(self):
-        entries = [(3, EventPriority.TIMER, [(0, EventPriority.CONTROL, False)])]
+        entries = [(3, EventPriority.TIMER, [(0, EventPriority.CONTROL)])]
         traces = []
         for sim in (Simulator(), HeapSimulator()):
             trace = []
             for t, p, spawns in entries:
                 def cb(sim=sim, trace=trace, spawns=spawns):
                     trace.append((sim.now, "root"))
-                    for extra, prio, _ in spawns:
+                    for extra, prio in spawns:
                         sim.schedule_callback(
                             sim.now + extra,
                             prio,
                             lambda: trace.append((sim.now, "spawn")),
                         )
-                sim.schedule(t, p, cb)
+                sim.schedule_callback(t, p, cb)
             sim.run_to_exhaustion()
             traces.append(trace)
         assert traces[0] == traces[1]
@@ -186,7 +168,7 @@ class TestSchedulerEquivalence:
                     sim.now, EventPriority.CONTROL, lambda: order.append("c")
                 )
 
-            sim.schedule(5, EventPriority.DELIVERY, first)
-            sim.schedule(5, EventPriority.DELIVERY, lambda: order.append("d2"))
+            sim.schedule_callback(5, EventPriority.DELIVERY, first)
+            sim.schedule_callback(5, EventPriority.DELIVERY, lambda: order.append("d2"))
             sim.run_until(5)
             assert order == ["d1", "c", "d2"], sim_cls.__name__

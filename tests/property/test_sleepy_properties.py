@@ -5,7 +5,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import CrashWindow, FaultPlan, FaultSpec, PartitionWindow
+from repro.sim.simulator import EventPriority, Simulator
 from repro.sleepy.compliance import check_compliance, max_tolerable_byzantine
+from repro.sleepy.controller import SleepController
 from repro.sleepy.corruption import CorruptionPlan
 from repro.sleepy.participation import ParticipationModel
 from repro.sleepy.schedule import AwakeSchedule, Interval
@@ -139,3 +142,83 @@ class TestComplianceProperties:
         if relaxed.violations:
             # Any violation with T_s = 0 must persist (H_{t-Ts,t} ⊆ H_t).
             assert strict.violations
+
+
+class _RecordingSimulator(Simulator):
+    """Keeps what the controller wrote, per tick, in write order."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = {}
+
+    def schedule_callback(self, time, priority, callback):
+        assert priority == EventPriority.CONTROL  # so write order is dispatch order
+        self.written.setdefault(time, []).append((callback.func.__name__, callback.args))
+        super().schedule_callback(time, priority, callback)
+
+
+class _Node:
+    awake = True
+    corrupted = False
+
+    def __init__(self, vid):
+        self.validator_id = vid
+
+
+class _Network:
+    def set_awake(self, vid, awake):
+        pass
+
+
+@st.composite
+def fault_plans(draw, n):
+    def window():
+        start = draw(st.integers(0, 150))
+        return start, start + draw(st.integers(1, 60))
+
+    crashes = tuple(
+        CrashWindow(draw(st.integers(0, n - 1)), *window())
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    partitions = tuple(
+        PartitionWindow(*window(), tuple(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))))
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    return FaultPlan(FaultSpec(), n, 2, 250, crashes, partitions)
+
+
+def _calendar(schedule, corruption, plan, horizons):
+    """What ``install`` over successive windows leaves in the calendar."""
+
+    sim = _RecordingSimulator()
+    controller = SleepController(
+        sim, _Network(), schedule, corruption, trace=object(), fault_plan=plan
+    )
+    for vid in range(schedule.n):
+        controller.manage(_Node(vid))
+    after = -1
+    for horizon in horizons:
+        controller.install(horizon, after=after)
+        after = horizon
+    assert sim.pending_count() == sum(map(len, sim.written.values()))
+    return sim.written
+
+
+class TestWindowedInstall:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_split_install_writes_the_from_genesis_calendar(self, data):
+        schedule = data.draw(schedules())
+        corruption = data.draw(corruption_plans(n=schedule.n))
+        plan = data.draw(st.none() | fault_plans(schedule.n))
+        whole = _calendar(schedule, corruption, plan, [250])
+        # Window edges on event ticks are the interesting ones: an event at
+        # exactly h1 belongs to the first window only.
+        edge = st.integers(0, 249)
+        if whole:
+            edge |= st.sampled_from(sorted(whole)).filter(lambda tick: tick < 250)
+        h1 = data.draw(edge)
+        h2 = data.draw(st.integers(h1 + 1, 250))
+        expected = {tick: calls for tick, calls in whole.items() if tick <= h2}
+        assert _calendar(schedule, corruption, plan, [h2]) == expected
+        assert _calendar(schedule, corruption, plan, [h1, h2]) == expected

@@ -1,16 +1,12 @@
 """Unit tests for the analysis layer: latency, metrics, complexity."""
 
-import math
-
 import pytest
 
 from repro.analysis.complexity import classify_complexity, fit_exponent, measure_scaling
 from repro.analysis.latency import (
-    LatencySummary,
     confirmation_time_ticks,
     confirmation_times_deltas,
     proposal_anchored_latency_deltas,
-    summarize_confirmations,
 )
 from repro.analysis.metrics import (
     SafetyReport,
@@ -69,26 +65,6 @@ class TestLatency:
         log = genesis.append_block([tx], 0, 0)
         trace = _trace_with(decisions=[DecisionEvent(40, 1, 0, log)])
         assert proposal_anchored_latency_deltas(trace, tx, delta=4) is None
-
-    def test_summary_statistics(self):
-        summary = LatencySummary.from_values([2.0, 4.0, 6.0], unconfirmed=1)
-        assert summary.samples == 3
-        assert summary.mean_deltas == 4.0
-        assert summary.min_deltas == 2.0
-        assert summary.max_deltas == 6.0
-        assert summary.unconfirmed == 1
-
-    def test_empty_summary_is_nan(self):
-        summary = LatencySummary.from_values([], unconfirmed=2)
-        assert summary.samples == 0
-        assert math.isnan(summary.mean_deltas)
-
-    def test_summarize_confirmations(self, genesis):
-        tx = make_tx(1, at=0)
-        log = genesis.append_block([tx], 0, 0)
-        trace = _trace_with(decisions=[DecisionEvent(12, 1, 0, log)])
-        summary = summarize_confirmations(trace, [tx, make_tx(2)], delta=4)
-        assert summary.samples == 1 and summary.unconfirmed == 1
 
 
 class TestSafety:

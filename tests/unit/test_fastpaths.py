@@ -120,45 +120,19 @@ class TestVerifyTagCache:
 class TestLeanEventCore:
     def test_pending_count_is_live(self):
         sim = Simulator()
-        handles = [
-            sim.schedule(t, EventPriority.TIMER, lambda: None) for t in range(5)
-        ]
+        for t in range(5):
+            sim.schedule_callback(t, EventPriority.TIMER, lambda: None)
         assert sim.pending_count() == 5
-        Simulator.cancel(handles[0])
-        assert sim.pending_count() == 4
-        Simulator.cancel(handles[0])  # double-cancel is a no-op
-        assert sim.pending_count() == 4
         sim.run_until(2)
         assert sim.pending_count() == 2
         sim.run_to_exhaustion()
         assert sim.pending_count() == 0
-
-    def test_cancel_after_fire_is_noop(self):
-        sim = Simulator()
-        fired = sim.schedule(1, EventPriority.TIMER, lambda: None)
-        sim.schedule(2, EventPriority.TIMER, lambda: None)
-        sim.run_until(1)
-        Simulator.cancel(fired)  # handle already executed
-        assert sim.pending_count() == 1
-        sim.run_to_exhaustion()
-        Simulator.cancel(fired)
-        assert sim.pending_count() == 0
-
-    def test_cancelled_events_do_not_run(self):
-        sim = Simulator()
-        hits = []
-        keep = sim.schedule(1, EventPriority.TIMER, lambda: hits.append("keep"))
-        drop = sim.schedule(1, EventPriority.TIMER, lambda: hits.append("drop"))
-        Simulator.cancel(drop)
-        sim.run_until(1)
-        assert hits == ["keep"]
-        assert keep.time == 1 and keep.seq == 0
 
     def test_heap_order_never_compares_handles(self):
         # Same (time, priority) events rely on seq alone for ordering.
         sim = Simulator()
         order = []
         for i in range(64):
-            sim.schedule(7, EventPriority.DELIVERY, lambda i=i: order.append(i))
+            sim.schedule_callback(7, EventPriority.DELIVERY, lambda i=i: order.append(i))
         sim.run_until(7)
         assert order == list(range(64))

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.adversary.base import ByzantineValidator
 from repro.baselines.mr_ga import run_mr_ga
 from repro.core import GA2_SPEC, GA3_SPEC, run_standalone_ga
+from repro.net.network import AwakeMaskError
 from repro.sleepy import CorruptionPlan
 from tests.conftest import chain_of
 
@@ -85,3 +87,25 @@ class TestRunMrGa:
         base = chain_of(1)
         result = run_mr_ga(n=4, delta=4, inputs={i: base for i in range(4)})
         assert set(result.participating(1)) == set(range(4))
+
+
+class _Poker(ByzantineValidator):
+    """Flips an honest validator's ``awake`` flag behind the network's back."""
+
+    def setup(self):
+        self._network.node(0).awake = False
+
+
+@pytest.mark.parametrize(
+    "run", [lambda **kw: run_standalone_ga(GA2_SPEC, **kw), run_mr_ga], ids=["ga2", "mr-ga"]
+)
+def test_ga_runs_check_the_awake_mask(run):
+    base = chain_of(1)
+    with pytest.raises(AwakeMaskError, match="validator 0"):
+        run(
+            n=4,
+            delta=4,
+            inputs={i: base for i in range(3)},
+            corruption=CorruptionPlan.static(frozenset({3})),
+            byzantine_factory=_Poker,
+        )

@@ -1,12 +1,10 @@
 """Unit tests for the run-scoped intern/lineage layer (repro.runctx)."""
 
-import pytest
-
 from repro.chain.log import Log
 from repro.crypto.signatures import KeyRegistry
 from repro.net.messages import Envelope, LogMessage
 from repro.runctx import LineageStore, RunContext
-from tests.conftest import chain_of, fork_of, make_tx
+from tests.conftest import chain_of, fork_of
 
 REGISTRY = KeyRegistry(4, seed=11)
 
@@ -79,51 +77,10 @@ class TestLineageStore:
         clone = Log(log.blocks)
         assert store.note(log) is log
         assert store.note(clone) is log
-        assert store.by_tip(log.tip.block_id) is log
         assert len(store) == 1
-
-    def test_resolve_full_sequence_is_shared_instance(self):
-        store = LineageStore()
-        log = chain_of(4)
-        store.note(log)
-        assert store.resolve(log.blocks) is log
-
-    def test_resolve_validates_only_new_suffix(self):
-        store = LineageStore()
-        trunk = chain_of(5)
-        store.note(trunk)
-        extended = trunk.append_block([make_tx(777)], proposer=1, view=9)
-        resolved = store.resolve(extended.blocks)
-        assert resolved == extended
-        # The resolved log reuses the noted trunk as its lineage parent.
-        assert resolved.prefix(len(trunk)) is trunk
-        # And the new tip is now known by tip id too.
-        assert store.by_tip(extended.tip.block_id) is resolved
-
-    def test_resolve_unknown_chain_validates_from_scratch(self):
-        store = LineageStore()
-        log = chain_of(3)
-        assert store.resolve(log.blocks) == log
-
-    def test_resolve_rejects_broken_suffix(self):
-        store = LineageStore()
-        trunk = chain_of(2)
-        store.note(trunk)
-        stranger = chain_of(3, tag=5)
-        blocks = trunk.blocks + (stranger.blocks[-1],)  # wrong parent link
-        with pytest.raises(ValueError, match="broken parent link"):
-            store.resolve(blocks)
-
-    def test_resolve_rejects_empty_and_non_genesis(self):
-        store = LineageStore()
-        with pytest.raises(ValueError):
-            store.resolve(())
-        log = chain_of(2)
-        with pytest.raises(ValueError):
-            store.resolve(log.blocks[1:])
 
     def test_run_context_facade(self):
         ctx = RunContext()
         log = chain_of(3)
         assert ctx.note_log(log) is log
-        assert ctx.resolve_log(log.blocks) is log
+        assert ctx.note_log(Log(log.blocks)) is log

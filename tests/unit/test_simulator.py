@@ -10,17 +10,17 @@ class TestScheduling:
     def test_events_run_in_time_order(self):
         sim = Simulator()
         order = []
-        sim.schedule(5, EventPriority.TIMER, lambda: order.append("b"))
-        sim.schedule(1, EventPriority.TIMER, lambda: order.append("a"))
+        sim.schedule_callback(5, EventPriority.TIMER, lambda: order.append("b"))
+        sim.schedule_callback(1, EventPriority.TIMER, lambda: order.append("a"))
         sim.run_until(10)
         assert order == ["a", "b"]
 
     def test_priority_breaks_time_ties(self):
         sim = Simulator()
         order = []
-        sim.schedule(3, EventPriority.TIMER, lambda: order.append("timer"))
-        sim.schedule(3, EventPriority.DELIVERY, lambda: order.append("delivery"))
-        sim.schedule(3, EventPriority.CONTROL, lambda: order.append("control"))
+        sim.schedule_callback(3, EventPriority.TIMER, lambda: order.append("timer"))
+        sim.schedule_callback(3, EventPriority.DELIVERY, lambda: order.append("delivery"))
+        sim.schedule_callback(3, EventPriority.CONTROL, lambda: order.append("control"))
         sim.run_until(3)
         assert order == ["control", "delivery", "timer"]
 
@@ -28,40 +28,24 @@ class TestScheduling:
         sim = Simulator()
         order = []
         for i in range(5):
-            sim.schedule(1, EventPriority.TIMER, lambda i=i: order.append(i))
+            sim.schedule_callback(1, EventPriority.TIMER, lambda i=i: order.append(i))
         sim.run_until(1)
         assert order == [0, 1, 2, 3, 4]
 
     def test_now_tracks_event_time(self):
         sim = Simulator()
         seen = []
-        sim.schedule(4, EventPriority.TIMER, lambda: seen.append(sim.now))
+        sim.schedule_callback(4, EventPriority.TIMER, lambda: seen.append(sim.now))
         sim.run_until(10)
         assert seen == [4]
         assert sim.now == 10
 
     def test_scheduling_in_the_past_rejected(self):
         sim = Simulator()
-        sim.schedule(2, EventPriority.TIMER, lambda: None)
+        sim.schedule_callback(2, EventPriority.TIMER, lambda: None)
         sim.run_until(5)
         with pytest.raises(ValueError):
-            sim.schedule(3, EventPriority.TIMER, lambda: None)
-
-    def test_schedule_in_relative(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(2, EventPriority.TIMER, lambda: sim.schedule_in(
-            3, EventPriority.TIMER, lambda: seen.append(sim.now)))
-        sim.run_until(10)
-        assert seen == [5]
-
-    def test_cancellation(self):
-        sim = Simulator()
-        hits = []
-        handle = sim.schedule(1, EventPriority.TIMER, lambda: hits.append(1))
-        Simulator.cancel(handle)
-        sim.run_until(5)
-        assert hits == []
+            sim.schedule_callback(3, EventPriority.TIMER, lambda: None)
 
     def test_events_scheduled_during_run_are_processed(self):
         sim = Simulator()
@@ -69,17 +53,17 @@ class TestScheduling:
 
         def first():
             order.append("first")
-            sim.schedule(sim.now, EventPriority.TIMER, lambda: order.append("nested"))
+            sim.schedule_callback(sim.now, EventPriority.TIMER, lambda: order.append("nested"))
 
-        sim.schedule(1, EventPriority.TIMER, first)
+        sim.schedule_callback(1, EventPriority.TIMER, first)
         sim.run_until(1)
         assert order == ["first", "nested"]
 
     def test_run_until_excludes_later_events(self):
         sim = Simulator()
         hits = []
-        sim.schedule(5, EventPriority.TIMER, lambda: hits.append(5))
-        sim.schedule(6, EventPriority.TIMER, lambda: hits.append(6))
+        sim.schedule_callback(5, EventPriority.TIMER, lambda: hits.append(5))
+        sim.schedule_callback(6, EventPriority.TIMER, lambda: hits.append(6))
         sim.run_until(5)
         assert hits == [5]
         sim.run_until(6)
@@ -88,16 +72,16 @@ class TestScheduling:
     def test_run_to_exhaustion(self):
         sim = Simulator()
         hits = []
-        sim.schedule(100, EventPriority.TIMER, lambda: hits.append(1))
+        sim.schedule_callback(100, EventPriority.TIMER, lambda: hits.append(1))
         sim.run_to_exhaustion()
         assert hits == [1]
 
     def test_pending_count(self):
         sim = Simulator()
-        a = sim.schedule(1, EventPriority.TIMER, lambda: None)
-        sim.schedule(2, EventPriority.TIMER, lambda: None)
+        sim.schedule_callback(1, EventPriority.TIMER, lambda: None)
+        sim.schedule_callback(2, EventPriority.TIMER, lambda: None)
         assert sim.pending_count() == 2
-        Simulator.cancel(a)
+        sim.run_until(1)
         assert sim.pending_count() == 1
 
     def test_deterministic_rng(self):
@@ -112,7 +96,7 @@ class TestSparseHorizons:
         # scan; the skip pointer makes it one heap pop.
         sim = Simulator()
         hits = []
-        sim.schedule(10**9, EventPriority.TIMER, lambda: hits.append(sim.now))
+        sim.schedule_callback(10**9, EventPriority.TIMER, lambda: hits.append(sim.now))
         sim.run_to_exhaustion()
         assert hits == [10**9]
         assert sim.now == 10**9
@@ -122,9 +106,9 @@ class TestSparseHorizons:
         # first must keep its dispatch position within its priority.
         sim = Simulator()
         order = []
-        sim.schedule(7, EventPriority.TIMER, lambda: order.append("a"))
-        sim.schedule(7, EventPriority.TIMER, lambda: order.append("b"))
-        sim.schedule(7, EventPriority.CONTROL, lambda: order.append("c"))
+        sim.schedule_callback(7, EventPriority.TIMER, lambda: order.append("a"))
+        sim.schedule_callback(7, EventPriority.TIMER, lambda: order.append("b"))
+        sim.schedule_callback(7, EventPriority.CONTROL, lambda: order.append("c"))
         sim.run_until(7)
         assert order == ["c", "a", "b"]
 
@@ -136,16 +120,6 @@ class TestSparseHorizons:
         sim.run_until(4)
         assert order == ["delivery", "timer"]
 
-    def test_cancelled_single_slot_is_skipped(self):
-        sim = Simulator()
-        hits = []
-        handle = sim.schedule(50, EventPriority.TIMER, lambda: hits.append(1))
-        sim.schedule(60, EventPriority.TIMER, lambda: hits.append(2))
-        Simulator.cancel(handle)
-        sim.run_to_exhaustion()
-        assert hits == [2]
-        assert sim.pending_count() == 0
-
     def test_single_slot_spawning_same_tick_event_preserves_order(self):
         sim = Simulator()
         order = []
@@ -156,15 +130,15 @@ class TestSparseHorizons:
                 sim.now, EventPriority.CONTROL, lambda: order.append("spawn")
             )
 
-        sim.schedule(9, EventPriority.DELIVERY, first)
+        sim.schedule_callback(9, EventPriority.DELIVERY, first)
         sim.run_until(9)
         assert order == ["first", "spawn"]
         assert sim.events_processed == 2
 
     def test_sparse_exhaustion_respects_safety_limit(self):
         sim = Simulator()
-        sim.schedule(10, EventPriority.TIMER, lambda: None)
-        sim.schedule(10**6, EventPriority.TIMER, lambda: None)
+        sim.schedule_callback(10, EventPriority.TIMER, lambda: None)
+        sim.schedule_callback(10**6, EventPriority.TIMER, lambda: None)
         with pytest.raises(RuntimeError):
             sim.run_to_exhaustion(safety_limit=1)
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.chain.transactions import TransactionPool
 from repro.faults import FaultSpec
-from repro.harness.scenarios import stable_scenario
+from repro.harness.scenarios import compile_checked_fault_plan, stable_scenario
 from repro.snapshot import (
     MAGIC,
     SNAPSHOT_VERSION,
@@ -115,12 +115,15 @@ def test_meta_rejects_unknown_version():
 
 def test_v2_blobs_are_rejected_not_thawed():
     # v2 payloads pickle a Network without the mask-plan fields (and
-    # calendar callbacks bound to methods that no longer exist).
+    # calendar callbacks bound to methods that no longer exist); v4
+    # payloads pickle ``ScheduledEvent`` handles in the calendar and a run
+    # whose controller sits under ``_controller``.
     blob = warm_snapshot(build(n=4), "key", 3).to_bytes()
     current = f'"version":{SNAPSHOT_VERSION}'.encode()
     assert blob.count(current) == 1
-    with pytest.raises(SnapshotError, match="version 2"):
-        Snapshot.from_bytes(blob.replace(current, b'"version":2'))
+    for stale in (2, 4):
+        with pytest.raises(SnapshotError, match=f"unsupported snapshot version {stale}"):
+            Snapshot.from_bytes(blob.replace(current, b'"version":%d' % stale))
 
 
 # -- fork soundness ----------------------------------------------------------
@@ -342,6 +345,69 @@ def test_fork_extends_the_horizon():
     assert max(decided_views) >= 11
 
 
+def _extension_world(seed, crash, num_views):
+    """The ISSUE-18 differential world: churn, two corruptions, an
+    equivocating proposer and (optionally) one crash window, with every
+    schedule drawn for the 14-view horizon whatever ``num_views`` is."""
+
+    import random
+
+    from repro.adversary.tob_attackers import make_tob_attacker_factory
+    from repro.core.tobsvd import TobSvdConfig, TobSvdProtocol
+    from repro.sleepy.corruption import CorruptionPlan
+    from repro.sleepy.schedule import AwakeSchedule
+
+    long = TobSvdConfig(n=9, num_views=14, delta=2, seed=seed)
+    view_ticks = long.time.view_ticks
+    schedule = AwakeSchedule.random_churn(
+        n=9, horizon=long.horizon, rng=random.Random(seed), churners=(1, 4),
+        min_awake=2 * view_ticks, min_asleep=7 * long.delta,
+    )
+    corruption = CorruptionPlan.static({8}).with_corruption(
+        scheduled_at=long.time.view_start(10), validator=6, delta=long.delta
+    )
+    plan = None
+    if crash is not None:
+        crash_view, crash_deltas = crash
+        spec = FaultSpec(
+            seed=seed, crash_count=1, crash_view=crash_view, crash_deltas=crash_deltas
+        )
+        plan = compile_checked_fault_plan(
+            spec, long, corruption, schedule, "extension", require_compliance=False
+        )
+    return TobSvdProtocol(
+        TobSvdConfig(n=9, num_views=num_views, delta=2, seed=seed),
+        schedule=schedule,
+        corruption=corruption,
+        byzantine_factory=make_tob_attacker_factory("equivocating-proposer"),
+        fault_plan=plan,
+    )
+
+
+# (crash_view, crash_deltas): none; wholly inside the extension; crash
+# before the 8-view horizon (t=70), recover after it.
+@pytest.mark.parametrize("crash", [None, (9, 8), (6, 16)])
+@pytest.mark.parametrize("seed", range(6))
+def test_extended_fork_is_the_from_genesis_run(seed, crash):
+    def fingerprint(result):
+        return (
+            {vid: [(t, log.log_id) for t, log in v.decided]
+             for vid, v in result.validators.items()},
+            [(e.time, e.kind, e.validator) for e in result.trace.control],
+            result.simulator.events_processed,
+        )
+
+    genesis = _extension_world(seed, crash, 14).run()
+    control = [kind for _t, kind, _v in fingerprint(genesis)[1]]
+    assert "corrupt-effective" in control and "sleep" in control
+    assert ("crash" in control) == (crash is not None)
+
+    snap = warm_snapshot(_extension_world(seed, crash, 8), "extension", 5)
+    forked = fork(snap, num_views=14)
+    forked.advance(forked.config.horizon)
+    assert fingerprint(forked.finish()) == fingerprint(genesis)
+
+
 def test_fork_rejects_message_fault_specs():
     snap = warm_snapshot(build(n=4, num_views=8), "stable", 4)
     with pytest.raises(SnapshotError, match="crash-only"):
@@ -447,3 +513,51 @@ def test_bisect_reuses_a_persistent_store(tmp_path):
     )
     assert second.first_bad_view == first.first_bad_view == 11
     assert second.views_replayed < first.views_replayed
+
+
+# -- ``repro bisect`` --------------------------------------------------------
+
+
+def _bisect_cli(capsys, *argv):
+    from repro import cli
+
+    code = cli.main(["bisect", *argv])
+    return code, capsys.readouterr().out
+
+
+def test_bisect_cli_all_good_takes_one_probe(capsys):
+    code, out = _bisect_cli(capsys, "stable", "--n", "5", "--views", "8", "--delta", "2")
+    assert code == 0
+    assert out.count("probe end-of-view") == 1
+    assert "all 8 views satisfy 'progress'" in out
+
+
+EQUIVOCATING = ("equivocating", "--n", "8", "--f", "3", "--views", "12",
+                "--delta", "2", "--seed", "0")
+
+
+def test_bisect_cli_finds_the_first_stalled_view(capsys, tmp_path):
+    import re
+
+    code, out = _bisect_cli(capsys, *EQUIVOCATING)
+    assert code == 1
+    probes = re.findall(r"probe end-of-view +(\d+) \(from (\w+)\): (\w+)", out)
+    assert probes == [
+        ("12", "genesis", "BAD"), ("6", "genesis", "BAD"), ("3", "genesis", "BAD"),
+        ("1", "genesis", "good"), ("2", "v2", "good"),
+    ]
+    assert "first bad view: 3" in out
+
+    # The equivocator stalls views; it cannot make decisions conflict.
+    code, out = _bisect_cli(capsys, *EQUIVOCATING, "--check", "safety")
+    assert code == 0 and "all 12 views satisfy 'safety'" in out
+
+    # Probe snapshots persist: the same bisection again forks from them.
+    def replayed(out):
+        return int(re.search(r"views replayed: (\d+)", out).group(1))
+
+    store = ("--snapshot-dir", str(tmp_path / "probes"))
+    first = _bisect_cli(capsys, *EQUIVOCATING, *store)
+    second = _bisect_cli(capsys, *EQUIVOCATING, *store)
+    assert first[0] == second[0] == 1 and "first bad view: 3" in second[1]
+    assert replayed(second[1]) < replayed(first[1])
