@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.state import Tombstone
 from repro.crypto.vrf import VRF
 from repro.net.messages import Envelope, ProposalMessage
 
@@ -38,6 +39,13 @@ class AcceptedProposal:
 
     def sort_key(self) -> tuple[float, int]:
         return self.message.vrf.sort_key()
+
+
+def _own_valid_vrf(payload: ProposalMessage, sender: int, view: int, vrf: VRF) -> bool:
+    """Not stolen from someone else or another view, and not forged."""
+
+    output = payload.vrf
+    return output.validator_id == sender and output.view == view and vrf.verify(output)
 
 
 class ProposalBook:
@@ -64,10 +72,8 @@ class ProposalBook:
         sender = envelope.signature.signer  # Envelope.sender, inlined
         if sender in self._equivocators:
             return False
-        if payload.vrf.validator_id != sender or payload.vrf.view != self._view:
-            return False  # VRF output stolen from someone else / another view
-        if not self._vrf.verify(payload.vrf):
-            return False  # forged VRF value
+        if not _own_valid_vrf(payload, sender, self._view, self._vrf):
+            return False
         existing = self._proposals.get(sender)
         if existing is None:
             self._proposals[sender] = AcceptedProposal(envelope)
@@ -97,3 +103,33 @@ class ProposalBook:
             if proposal.message.log.is_extension_of(lock):
                 return proposal
         return None
+
+    def retire(self) -> "RetiredProposalBook":
+        """What a finished view keeps for late PROPOSAL messages."""
+
+        return RetiredProposalBook(self._view, self._vrf, self._proposals, self._equivocators)
+
+
+class RetiredProposalBook(Tombstone):
+    """A retired :class:`ProposalBook`: the two sender bitmasks plus the
+    stateless admission checks (exact behind the host's dedup set)."""
+
+    __slots__ = ("_view", "_vrf")
+
+    def __init__(self, view: int, vrf: VRF, accepted=(), equivocators=()) -> None:
+        super().__init__(accepted, equivocators)
+        self._view = view
+        self._vrf = vrf
+
+    def handle(self, envelope: Envelope) -> bool:
+        """:meth:`ProposalBook.handle` for an envelope the dedup set let through."""
+
+        payload = envelope.payload
+        if not isinstance(payload, ProposalMessage):
+            raise TypeError("RetiredProposalBook handles PROPOSAL messages only")
+        sender = envelope.signature.signer
+        return (
+            payload.view == self._view
+            and _own_valid_vrf(payload, sender, self._view, self._vrf)
+            and self.admit(sender).should_forward
+        )

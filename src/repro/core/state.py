@@ -176,6 +176,45 @@ class LogView:
 
         return frozenset(self._v.values())
 
+    def retire(self) -> "Tombstone":
+        """What a finished instance keeps for late LOG messages."""
+
+        return Tombstone(self._v, self._equivocators)
+
+
+class Tombstone:
+    """A retired ``LogView`` as two sender bitmasks: ``accepted`` (one
+    message on record) and ``equivocators`` (two).
+
+    Without the messages a resend cannot be told from a second, different
+    one, so :meth:`handle` is exact only behind its host's envelope dedup
+    set, which drops a resend (same payload digest, same signer) first.
+    """
+
+    __slots__ = ("accepted", "equivocators")
+
+    def __init__(self, accepted: Iterable[int] = (), equivocators: Iterable[int] = ()) -> None:
+        self.accepted = sum(1 << sender for sender in accepted)
+        self.equivocators = sum(1 << sender for sender in equivocators)
+
+    def handle(self, envelope: Envelope) -> HandleOutcome:
+        """:meth:`LogView.handle` for an envelope the dedup set let through."""
+
+        if not isinstance(envelope.payload, LogMessage):
+            raise TypeError("Tombstone handles LOG messages only")
+        return self.admit(envelope.signature.signer)
+
+    def admit(self, sender: int) -> HandleOutcome:
+        bit = 1 << sender
+        if self.equivocators & bit:
+            return HandleOutcome.IGNORED
+        if self.accepted & bit:
+            self.accepted ^= bit
+            self.equivocators |= bit
+            return HandleOutcome.EQUIVOCATION
+        self.accepted |= bit
+        return HandleOutcome.ACCEPTED
+
 
 def pairs_extending(pairs: Iterable[Pair], log: Log) -> frozenset:
     """Restrict a pair set to entries whose log extends ``log``."""

@@ -39,8 +39,8 @@ from repro.chain.transactions import TransactionPool
 from repro.crypto.signatures import KeyRegistry, SigningKey
 from repro.crypto.vrf import VRF
 from repro.core.ga import GA3_SPEC, GaInstance
-from repro.core.proposals import ProposalBook
-from repro.core.state import HandleOutcome
+from repro.core.proposals import ProposalBook, RetiredProposalBook
+from repro.core.state import HandleOutcome, Tombstone
 from repro.core.validator import BaseValidator
 from repro.core.world import World
 from repro.net.delays import DelayPolicy
@@ -61,36 +61,6 @@ PROTOCOL_NAME = "tobsvd"
 # Hot-path aliases for the forward decision (HandleOutcome.should_forward).
 _ACCEPTED = HandleOutcome.ACCEPTED
 _EQUIVOCATION = HandleOutcome.EQUIVOCATION
-
-# Active only while repro.snapshot.capture() pickles a run: ``(floor,
-# protected)`` marks which per-view state is still live.  See
-# :meth:`TobSvdValidator.__getstate__`.
-_CAPTURE_PRUNE: tuple[int, frozenset[int]] | None = None
-
-
-class prune_dead_views:
-    """Context manager marking finished per-view state prunable for pickling.
-
-    While active, :meth:`TobSvdValidator.__getstate__` drops ``GA_v`` /
-    ``ProposalBook`` entries for views ``v < floor`` unless ``v`` is in
-    ``protected`` (views an undelivered envelope still references).  A
-    view below the floor has run all its phases and can receive no
-    further message, so its instance is never consulted again by the
-    resumed run — dropping it changes the blob, not the continuation.
-    """
-
-    def __init__(self, floor: int, protected: frozenset[int]) -> None:
-        self._state = (floor, protected)
-
-    def __enter__(self) -> "prune_dead_views":
-        global _CAPTURE_PRUNE
-        self._previous = _CAPTURE_PRUNE
-        _CAPTURE_PRUNE = self._state
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        global _CAPTURE_PRUNE
-        _CAPTURE_PRUNE = self._previous
 
 # The sleepy-model parameters TOB-SVD requires, in Delta units.
 T_B_DELTAS = 5
@@ -131,6 +101,10 @@ class TobSvdConfig:
         return (T_B_DELTAS * self.delta, T_S_DELTAS * self.delta, RHO)
 
 
+class RetiredViewError(LookupError):
+    """A retired view's GA outputs or proposals were asked for."""
+
+
 @dataclass
 class ProtocolContext:
     """Shared run facilities handed to validators (honest and Byzantine)."""
@@ -161,6 +135,9 @@ class TobSvdValidator(BaseValidator):
         self._genesis = Log.genesis()
         self._instances: dict[int, GaInstance] = {}
         self._books: dict[int, ProposalBook] = {}
+        self._retired_below = 0  # views below it are tombstones only
+        self._retired_logs: dict[int, Tombstone] = {}
+        self._retired_books: dict[int, RetiredProposalBook] = {}
         self.decided: list[tuple[int, Log]] = []
         self.highest_decided: Log = self._genesis
 
@@ -171,6 +148,8 @@ class TobSvdValidator(BaseValidator):
 
         instance = self._instances.get(view)
         if instance is None:
+            if view < self._retired_below:
+                raise RetiredViewError(f"view {view} is retired (live from {self._retired_below})")
             instance = GaInstance(
                 GA3_SPEC,
                 key=(PROTOCOL_NAME, view),
@@ -187,6 +166,19 @@ class TobSvdValidator(BaseValidator):
             book = ProposalBook(view, self._context.vrf)
             self._books[view] = book
         return book
+
+    def _retire_views_below(self, floor: int) -> None:
+        """Swap every live view below ``floor`` for its tombstones (a cursor:
+        a validator that slept through several boundaries catches up)."""
+
+        for view in range(self._retired_below, floor):
+            instance = self._instances.pop(view, None)
+            book = self._books.pop(view, None) or ProposalBook(view, self._context.vrf)
+            self._retired_logs[view] = (
+                instance.view_state.retire() if instance is not None else Tombstone()
+            )
+            self._retired_books[view] = book.retire()
+        self._retired_below = max(self._retired_below, floor)
 
     def _ga_tip(self, view: int, grade: int) -> Log | None:
         """Highest output of ``GA_view`` at ``grade``; genesis for ``GA_{-1}``.
@@ -227,6 +219,7 @@ class TobSvdValidator(BaseValidator):
         Used by adversaries (which may inspect any state) and by analysis
         code; unlike :meth:`_ga_tip` it has no side effects, and it
         returns the *full* graded chain, not just the highest log.
+        Raises :class:`RetiredViewError` for a view retired at decide time.
         """
 
         if view < 0:
@@ -243,37 +236,6 @@ class TobSvdValidator(BaseValidator):
         if not outputs:
             return None
         return outputs[-1]
-
-    # -- serialization -----------------------------------------------------------
-
-    def __getstate__(self):
-        """Snapshot pickling: drop per-view state of finished views.
-
-        ``_instances`` and ``_books`` grow one entry per view and are the
-        dominant weight of a mid-run snapshot, yet the continuation only
-        ever reads views at or above the capture view minus one (phase
-        timers of view ``W`` consult ``GA_{W-1}``) plus any older view an
-        undelivered envelope still addresses — :func:`repro.snapshot.capture`
-        computes that floor/protected pair and activates
-        :class:`prune_dead_views` around ``pickle.dump``.  Dropped views
-        thaw back as lazily-recreated empty instances, which the resumed
-        run never consults; outside a capture context the full maps are
-        pickled unchanged.
-        """
-
-        state = self.__dict__
-        prune = _CAPTURE_PRUNE
-        if prune is None:
-            return state
-        floor, protected = prune
-        state = dict(state)
-        for name in ("_instances", "_books"):
-            state[name] = {
-                view: entry
-                for view, entry in state[name].items()
-                if view >= floor or view in protected
-            }
-        return state
 
     # -- timers -------------------------------------------------------------------
 
@@ -359,7 +321,11 @@ class TobSvdValidator(BaseValidator):
         )
 
     def _decide_phase(self, view: int) -> None:
-        """Decide (t = t_v + 2Δ) and store GA_v's V^Δ snapshot."""
+        """Decide (t = t_v + 2Δ), store GA_v's V^Δ snapshot, retire old views.
+
+        No timer of view ``v`` or later reads a GA instance or book older
+        than ``v - 1``; one more view of margin keeps ``v - 2`` live too.
+        """
 
         decided = self._ga_tip(view - 1, grade=2)
         if decided is not None:
@@ -373,6 +339,7 @@ class TobSvdValidator(BaseValidator):
             )
         if view < self._config.num_views:
             self._instance(view).take_snapshot(1)
+        self._retire_views_below(view - 2)
 
     def _second_snapshot_phase(self, view: int) -> None:
         """t = t_v + 3Δ: nothing but GA_v's V^2Δ snapshot."""
@@ -391,18 +358,18 @@ class TobSvdValidator(BaseValidator):
             if not isinstance(view, int) or not 0 <= view <= self._num_views:
                 return
             instance = self._instances.get(view)
-            if instance is None:
-                instance = self._instance(view)
-            outcome = instance.view_state.handle(envelope)
+            if instance is not None:
+                outcome = instance.view_state.handle(envelope)
+            else:  # a retired view, or one with no LOG yet
+                state = self._retired_logs.get(view) or self._instance(view).view_state
+                outcome = state.handle(envelope)
             if outcome is _ACCEPTED or outcome is _EQUIVOCATION:
                 self.forward(envelope)
         elif isinstance(payload, ProposalMessage):
             view = payload.view
             if not 0 <= view <= self._num_views:
                 return
-            book = self._books.get(view)
-            if book is None:
-                book = self._book(view)
+            book = self._books.get(view) or self._retired_books.get(view) or self._book(view)
             if book.handle(envelope):
                 self.forward(envelope)
 

@@ -47,16 +47,16 @@ everything the prefix installed — which is exactly the order a
 from-genesis run with the same configuration would have produced, since
 every bucket lies wholly inside one install window.
 
-``SNAPSHOT_VERSION`` 5: the pickled calendar holds bare callables (v4
-held cancellable event handles and a simulator ``_seq`` counter) and a
-run is a :class:`~repro.core.world.World` whose controller is the public
-``controller`` attribute; v4 blobs are refused at the header.
+``SNAPSHOT_VERSION`` 6: a validator carries its retired views as
+two-mask tombstones next to its live GA instances and proposal books (a
+v5 blob pickled every view live, minus those a capture-time prune
+dropped, and would thaw without the retirement cursor); v5 blobs are
+refused at the header.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import pickle
@@ -71,7 +71,7 @@ from repro.faults import FaultSpec
 if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.core.tobsvd import TobSvdConfig, TobSvdProtocol, TobSvdResult
 
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 MAGIC = b"RPROSNAP"
 _HEADER_LEN = struct.Struct(">I")
 
@@ -193,39 +193,6 @@ class Snapshot:
         return pickle.loads(self.payload)
 
 
-def _reachable_views(protocol: "TobSvdProtocol") -> frozenset[int]:
-    """Views an undelivered envelope still addresses.
-
-    Scans the calendar's pending delivery callbacks (``functools.partial``
-    objects carrying the envelope) and the network's sleep buffers.  Any
-    view found here may still receive a message after the capture tick, so
-    its per-view state must survive pruning even if its phases are done —
-    the genesis run would handle that late delivery against accumulated
-    instance state, and a fresh lazily-recreated instance could decide the
-    forward/accept outcome differently.
-    """
-
-    from repro.net.messages import Envelope
-
-    views: set[int] = set()
-
-    def note(payload) -> None:
-        key = getattr(payload, "ga_key", None)
-        if isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], int):
-            views.add(key[1])
-        view = getattr(payload, "view", None)
-        if isinstance(view, int):
-            views.add(view)
-
-    for callback in protocol.simulator.pending_callbacks():
-        for arg in getattr(callback, "args", ()):
-            if isinstance(arg, Envelope):
-                note(arg.payload)
-    for envelope in protocol.network.buffered_envelopes():
-        note(envelope.payload)
-    return frozenset(views)
-
-
 def capture(
     protocol: "TobSvdProtocol", scenario_key: str, view: int, seed: int | None = None
 ) -> Snapshot:
@@ -235,15 +202,12 @@ def capture(
     :func:`warm_snapshot` wraps the common case.  ``seed`` defaults to the
     run config's seed.
 
-    The payload is pruned to live state: per-view GA instances and
-    proposal books below the current view minus one have run all their
-    phases, and unless a pending envelope still addresses them
-    (:func:`_reachable_views`) the continuation never consults them —
-    dropping them keeps the blob and thaw cost proportional to the
-    protocol's working set instead of the executed prefix length.
+    The run is pickled as it is.  It stays proportional to the protocol's
+    working set because validators retire finished views while they run
+    (:meth:`TobSvdValidator._retire_views_below`): what a blob carries of
+    an old view is its two-mask tombstone, which answers a late message
+    exactly as the live state would.
     """
-
-    from repro.core.tobsvd import prune_dead_views
 
     if not getattr(protocol, "_started", False):
         raise SnapshotError("capture() needs a started protocol; call start() first")
@@ -261,13 +225,7 @@ def capture(
         delta=config.delta,
         trace_mode=protocol.observability.mode,
     )
-    # Phase timers of the view in progress at tick+1 (``W``) read back to
-    # ``GA_{W-1}``; one further view of margin costs a handful of objects.
-    floor = max(0, config.time.view_of(tick + 1) - 2)
-    buffer = io.BytesIO()
-    with prune_dead_views(floor, _reachable_views(protocol)):
-        pickle.dump(protocol, buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    return Snapshot(meta, buffer.getvalue())
+    return Snapshot(meta, pickle.dumps(protocol, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def warm_snapshot(

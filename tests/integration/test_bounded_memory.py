@@ -17,6 +17,8 @@ grow with history (every proposal rescanned the pool, every ``Log``
 copied its id encoding), so two deterministic scaling guards ride along:
 doubling the horizon must double — not quadruple — the proposer's
 batching work, and the 512-view end heap stays under a fixed ceiling.
+A fast count guard checks that validators retire finished views, so the
+live per-view protocol state does not grow with the horizon.
 
 CI runs this file explicitly so a regression that quietly re-attaches
 O(events) retention to bounded mode, or O(history) cost to a proposal,
@@ -140,5 +142,17 @@ class TestHorizonFlatProposalPath:
         finally:
             tracemalloc.stop()
         assert result.analysis.new_blocks == 512
-        # 118 MiB when every Log owned a copy of its id encoding.
-        assert end_heap <= 60 * 2**20
+        # 118 MiB when every Log owned a copy of its id encoding, 44.6 MiB
+        # while validators kept every view's GA instance and proposal book.
+        assert end_heap <= 24 * 2**20
+
+
+def test_validators_keep_a_bounded_number_of_live_views():
+    # Decide(v) retires every view below v - 2, so a validator holds GA
+    # instances and proposal books for v - 2 .. v and, once LOG or
+    # PROPOSAL messages for it arrive, v + 1 — whatever the horizon.
+    result = stable_scenario(n=N, num_views=64, delta=DELTA, seed=0, trace_mode="bounded").run()
+    for validator in result.validators.values():
+        assert len(validator._instances) <= 4
+        assert len(validator._books) <= 4
+        assert len(validator._retired_logs) == 64 - 2

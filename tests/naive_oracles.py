@@ -1,11 +1,13 @@
 """Reference implementations the fast paths are tested against.
 
-Both were the production code before a rewrite and are kept only as
+All were the production code before a rewrite and are kept only as
 oracles: :class:`HeapSimulator` for the bucket-queue scheduler
 (``tests/property/test_scheduler_equivalence.py``,
-``test_delivery_order.py``) and :func:`majority_chain_naive` for the
+``test_delivery_order.py``), :func:`majority_chain_naive` for the
 tip-indexed :func:`repro.core.quorum.majority_chain`
-(``tests/property/test_fastpath_properties.py``).
+(``tests/property/test_fastpath_properties.py``) and
+:class:`NeverRetiringValidator` for run-time view retirement
+(``tests/integration/test_view_retirement.py``).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Callable, Iterable
 from repro.chain.log import Log
 from repro.core.quorum import meets_quorum
 from repro.core.state import Pair
+from repro.core.tobsvd import TobSvdValidator
 from repro.sim.simulator import EventPriority, Simulator
 
 
@@ -70,6 +73,16 @@ class HeapSimulator(Simulator):
 
     def run_to_exhaustion(self, safety_limit: int = 10_000_000) -> None:
         self._dispatch(None, safety_limit)
+
+
+class NeverRetiringValidator(TobSvdValidator):
+    """A TOB-SVD validator that keeps every view's GA instance and proposal
+    book live for the whole run, as every validator did before views were
+    retired at decide time; a late message for an old view meets the full
+    ``V``/``E`` state instead of a tombstone."""
+
+    def _retire_views_below(self, floor: int) -> None:
+        pass
 
 
 def majority_chain_naive(pairs: Iterable[Pair], sender_count: int) -> list[Log]:

@@ -117,11 +117,12 @@ def test_v2_blobs_are_rejected_not_thawed():
     # v2 payloads pickle a Network without the mask-plan fields (and
     # calendar callbacks bound to methods that no longer exist); v4
     # payloads pickle ``ScheduledEvent`` handles in the calendar and a run
-    # whose controller sits under ``_controller``.
+    # whose controller sits under ``_controller``; v5 payloads hold every
+    # view live and thaw without a retirement cursor.
     blob = warm_snapshot(build(n=4), "key", 3).to_bytes()
     current = f'"version":{SNAPSHOT_VERSION}'.encode()
     assert blob.count(current) == 1
-    for stale in (2, 4):
+    for stale in (2, 4, 5):
         with pytest.raises(SnapshotError, match=f"unsupported snapshot version {stale}"):
             Snapshot.from_bytes(blob.replace(current, b'"version":%d' % stale))
 
@@ -139,26 +140,31 @@ def test_fork_resumes_to_the_genesis_decision_trace():
     assert decisions_of(forked.finish()) == expected
 
 
-def test_capture_prunes_finished_view_state():
-    # A snapshot taken before view 6 carries no GA instance or proposal
-    # book for views the continuation can never consult again (below the
-    # in-progress view minus one) — the thawed run recreates them lazily
-    # as empty shells only if something asks, which nothing does.
+def test_capture_carries_retired_views_as_tombstones():
+    # Views retire during the run, not at capture: before view 6 the last
+    # decide phase (view 5) has retired every view below 3, so the blob
+    # holds live GA instances and books for views 3..5 and a two-mask
+    # tombstone for each older one — and forks to the genesis run.
+    expected = decisions_of(build(n=5, num_views=8).run())
     snap = warm_snapshot(build(n=5, num_views=8), "stable", 6)
     thawed = snap.thaw()
-    floor = thawed.config.time.view_of(snap.meta.tick + 1) - 2
-    assert floor > 0
     for validator in thawed.validators.values():
-        assert validator._instances  # live views survive
-        assert min(validator._instances) >= floor
-        assert min(validator._books, default=floor) >= floor
+        assert set(validator._instances) == set(validator._books) == {3, 4, 5}
+        assert set(validator._retired_logs) == set(validator._retired_books) == {0, 1, 2}
+        assert validator._retired_logs[2].accepted == 0b11111
+
+    forked = fork(snap)
+    forked.advance(forked.config.horizon)
+    assert decisions_of(forked.finish()) == expected
 
 
 def test_capture_keeps_views_a_buffered_envelope_references():
     # A validator napping across the fork tick holds sleep-buffered
-    # envelopes addressing old views; those views must survive pruning
-    # everywhere so the post-wake flush replays against the same state a
-    # from-genesis run would have.  Oracle: identical decision traces.
+    # envelopes addressing old views.  It ran no decide phase while
+    # asleep, so it retired nothing and its post-wake flush replays them
+    # against live state; the awake validators retired those views, and
+    # the flush's forwards reach their tombstones.  Oracle: identical
+    # decision traces.
     from repro.core.tobsvd import TobSvdConfig, TobSvdProtocol
     from repro.sleepy.schedule import AwakeSchedule
 
@@ -179,16 +185,14 @@ def test_capture_keeps_views_a_buffered_envelope_references():
         for envelope in thawed.network.buffered_envelopes()
         if hasattr(envelope.payload, "ga_key")
     }
-    floor = thawed.config.time.view_of(snap.meta.tick + 1) - 2
-    protected = {view for view in buffered_views if view < floor}
-    assert protected, "fixture must buffer envelopes for finished views"
-    # The sleeper never handled those envelopes (no instances to keep),
-    # but every awake validator's accumulated old-view state survives:
-    # the sleeper's post-wake flush forwards to them, and their handling
-    # must replay against genesis-identical instance state.
-    for vid, validator in thawed.validators.items():
-        if vid != 4:
-            assert protected <= set(validator._instances)
+    awake = [v for vid, v in thawed.validators.items() if vid != 4]
+    floor = min(validator._retired_below for validator in awake)
+    retired = {view for view in buffered_views if view < floor}
+    assert retired, "fixture must buffer envelopes for retired views"
+    assert thawed.validators[4]._retired_below == 0
+    for validator in awake:
+        assert retired <= set(validator._retired_logs)
+        assert not retired & set(validator._instances)
 
     forked = fork(snap)
     forked.advance(forked.config.horizon)
@@ -300,19 +304,6 @@ def test_message_fault_run_captured_mid_view_resumes_to_the_same_run():
     snap = capture(live, "faulty", 3)
     assert snap.thaw().fault_plan._primed == {}
     assert fingerprint(resume(Snapshot.from_bytes(snap.to_bytes()))) == genesis
-
-
-def test_reachable_views_sees_envelopes_inside_mask_plan_callbacks():
-    from repro.snapshot import _reachable_views
-
-    protocol = build(n=5, num_views=8)
-    protocol.start()
-    time = protocol.config.time
-    protocol.advance(time.view_start(4) + 2 * protocol.config.delta)
-    assert not list(protocol.network.buffered_envelopes())  # calendar only
-    in_flight = _pending_batch_deliveries(protocol)
-    assert in_flight and all(len(c.args) == 2 for c in in_flight)  # (plan, envelope)
-    assert 4 in _reachable_views(protocol)
 
 
 def test_forks_are_isolated_from_each_other():
