@@ -63,6 +63,11 @@ def reconnect_delay(
     return min(cap, retry_backoff(f"node-link|{node_id}|{peer_id}", attempt, base))
 
 
+def _count(counts: dict[str, int], exc: BaseException) -> None:
+    name = type(exc).__name__
+    counts[name] = counts.get(name, 0) + 1
+
+
 class Transport(Protocol):
     """What the node runtime needs from a message plane."""
 
@@ -188,6 +193,8 @@ class _PeerLink:
         self._inflight = False
         self.drops = 0
         self.reconnects = 0
+        #: Failed connections and sends, by exception type.
+        self.errors: dict[str, int] = {}
         self._thread = threading.Thread(
             target=self._run, name=f"link-{owner_id}->{peer_id}", daemon=True
         )
@@ -234,8 +241,8 @@ class _PeerLink:
                 attempt = 0
                 self._drain(conn)
                 return  # only a clean close() exits the drain loop
-            except (WireError, OSError):
-                pass
+            except (WireError, OSError) as exc:
+                _count(self.errors, exc)
             finally:
                 if conn is not None:
                     conn.close()
@@ -327,6 +334,7 @@ class TcpTransport:
         self._closed = False
         self._inbound: list[FrameConnection] = []
         self._inbound_lock = threading.Lock()
+        self._listener_errors: dict[str, int] = {}
 
         host, port = addresses[node_id]
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -383,8 +391,8 @@ class TcpTransport:
             link.close()
         try:
             self._listener.close()
-        except OSError:
-            pass
+        except OSError as exc:
+            _count(self._listener_errors, exc)
         with self._inbound_lock:
             for conn in self._inbound:
                 conn.close()
@@ -392,10 +400,22 @@ class TcpTransport:
 
     # -- stats ---------------------------------------------------------------
 
-    def link_stats(self) -> dict[int, dict[str, int]]:
+    def link_stats(self) -> dict:
+        """Per outbound link: shed frames, reconnects, failures by type.
+
+        Plus ``listener_errors``: failures closing the listener, by type.
+        """
+
         return {
-            peer: {"drops": link.drops, "reconnects": link.reconnects}
-            for peer, link in self._links.items()
+            "links": {
+                peer: {
+                    "drops": link.drops,
+                    "reconnects": link.reconnects,
+                    "errors": dict(link.errors),
+                }
+                for peer, link in self._links.items()
+            },
+            "listener_errors": dict(self._listener_errors),
         }
 
     # -- inbound side --------------------------------------------------------

@@ -9,28 +9,36 @@ ids the sender's object carried — signatures verify, dedup tokens
 collapse wire copies with local originals, and the sim-oracle
 equivalence contract (docs/ARCHITECTURE.md) survives the round trip.
 
-Logs are re-validated on decode, *anchor-and-extend*: almost all of a
-received log is a chain the receiver already holds (GA inputs only ever
-extend earlier outputs), so :func:`decode_log` finds the longest wire
-prefix that ends in a log of a :class:`LineageMemo`, confirms that
-prefix equals the held log's blocks field for field — comparisons, no
-hashing — and then builds, hashes and parent-link-checks only the suffix
-it has not seen, extending the held :class:`~repro.chain.log.Log`
-through its parent link.  Every decoded log is rooted at genesis, every
-block id in it was derived from wire fields (now, or when an identical
-block was first decoded) and every link is checked, so a corrupt or
-malicious peer cannot smuggle a log with broken parent links past the
-codec.  The stateless call (no memo) is the same routine over an empty
-memo: the anchor is genesis and the suffix is everything.  Floats (the
-single VRF ``value`` field) round-trip exactly through JSON
-(``repr``-based encoding), so VRF comparisons are bit-identical across
-the wire.
+**Delta log frames.**  A log travels as ``{"a": anchor, "h": height,
+"b": entries}``: the ``block_id`` of its block at ``height`` (genesis is
+height 1) and the blocks above it.  The sender picks the anchor from the
+tips the receiver has acknowledged holding (docs/ARCHITECTURE.md, "Delta
+log frames and acknowledged frontiers"), so a frame carries what the
+receiver has not verified yet, not the whole chain.  :func:`decode_log`
+resolves the anchor in the receiver's :class:`LineageMemo`, requires the
+held log to have exactly ``height`` blocks, and builds, hashes and
+parent-link-checks only ``entries``, extending the held
+:class:`~repro.chain.log.Log`; an anchor the memo does not hold is an
+:class:`AnchorError`.  The full log is the anchor-at-genesis case — what
+``encode_envelope(envelope)`` writes and a memo-less
+``decode_envelope(wire)`` reads — so there is one decode body and no
+flag.  Every decoded log is rooted at genesis and every link is checked,
+so a corrupt or malicious peer cannot smuggle a log with broken parent
+links past the codec.
+
+An anchor names content identity: block ids, which hash transaction
+*ids*, not payloads.  The receiver's held variant of the anchor stands
+in for the sender's, even when a Byzantine proposer made a variant
+with the same ids and other payloads — the first-wins rule the holdback
+already applies to envelope ids; ``log_id``, every block id and the
+signature check are unaffected.  Floats (the single VRF ``value`` field)
+round-trip exactly through JSON (``repr``-based encoding), so VRF
+comparisons are bit-identical across the wire.
 """
 
 from __future__ import annotations
 
 from repro.chain.block import Block
-from repro.chain.genesis import GENESIS_BLOCK
 from repro.chain.log import Log
 from repro.chain.transactions import Transaction
 from repro.crypto.signatures import Signature
@@ -50,37 +58,55 @@ class CodecError(ValueError):
     """A wire dict does not describe a well-formed envelope."""
 
 
-def encode_log(log: Log) -> list:
-    """Serialize a log as its non-genesis blocks (genesis is implicit)."""
+class AnchorError(CodecError):
+    """A delta log frame is anchored at a block the receiver does not hold."""
 
-    return [
-        {
-            "parent": block.parent_id,
-            "proposer": block.proposer,
-            "view": block.view,
-            "txs": [[tx.tx_id, tx.payload, tx.submitted_at] for tx in block.transactions],
-        }
-        for block in log.blocks[1:]
-    ]
+
+def encode_log(log: Log, height: int = 1) -> dict:
+    """Serialize a log as its blocks above ``height`` (1: the full log)."""
+
+    blocks = log.blocks
+    return {
+        "a": blocks[height - 1].block_id,
+        "h": height,
+        "b": [
+            {
+                "parent": block.parent_id,
+                "proposer": block.proposer,
+                "view": block.view,
+                "txs": [[tx.tx_id, tx.payload, tx.submitted_at] for tx in block.transactions],
+            }
+            for block in blocks[height:]
+        ],
+    }
+
+
+def anchor_height(log: Log, held: set[str]) -> int:
+    """Height of the longest prefix of ``log`` whose tip id is in ``held``.
+
+    ``held`` is a peer's acknowledged frontier, which always contains
+    genesis; the walk is O(blocks above the anchor).
+    """
+
+    blocks = log.blocks
+    height = len(blocks)
+    while blocks[height - 1].block_id not in held:
+        height -= 1
+    return height
 
 
 class LineageMemo:
-    """One receiver's decoded lineage: tip ``block_id`` -> the log ending there.
+    """One receiver's verified lineage: tip ``block_id`` -> the log ending there.
 
     Owned by one runtime, never shared: block ids hash transaction *ids*
     only, so equal-id logs of different runs (or of an equivocating
     sender) may carry different :class:`Transaction` objects — the reason
     ``chain/log.py`` refuses a global table.  :func:`decode_log` only
-    reads it; the owner calls :meth:`admit` once the envelope that
-    carried a log passed signature verification, so an unauthenticated
-    flood can neither grow nor poison it.
-
-    Every held block has exactly the wire's field types (``str`` parent
-    and payload, ``int`` everything else; ``bool`` is not ``int``).  For
-    those, same-type equality is equality of the hashed encoding, which
-    lets the decoder's prefix comparison check the wire side's types
-    only.  A log with any other field type decodes as it always did but
-    is not held.
+    reads it; the owner calls :meth:`admit` for a log it signed or once
+    the envelope that carried it passed signature verification, so an
+    unauthenticated flood can neither grow nor poison it.  A tip is
+    never forgotten, so a peer's acknowledgement of it stays true for
+    the life of the process.
     """
 
     __slots__ = ("_logs",)
@@ -92,101 +118,38 @@ class LineageMemo:
     def __len__(self) -> int:
         return len(self._logs)
 
-    def admit(self, log: Log) -> None:
-        """Hold ``log`` and each ancestor not yet held, shortest first.
+    def admit(self, log: Log) -> list[str]:
+        """Hold ``log`` and each ancestor not yet held; return their tip ids.
 
-        Stops at the first block that is not plainly typed (its
-        descendants contain it).  The first log admitted under a tip id
-        stays: a later variant (same transaction ids, other payloads)
-        never matches it in a prefix comparison and is rebuilt from the
-        wire each time, as every log was before the memo.
+        The first log held under a tip id stays: a later variant (same
+        ids, other payloads) adds nothing.
         """
 
         logs = self._logs
         fresh = []
         node = log
-        while node is not None and logs.get(node.tip.block_id) is not node:
-            fresh.append(node)
+        while node is not None and (tip := node.tip.block_id) not in logs:
+            logs[tip] = node
+            fresh.append(tip)
             node = node.parent
-        for node in reversed(fresh):
-            # A parentless log vouches for all its blocks, a linked one for its tip.
-            blocks = node.blocks if node.parent is None else node.blocks[-1:]
-            if not all(map(_plainly_typed, blocks)):
-                return
-            logs.setdefault(node.tip.block_id, node)
+        return fresh
 
 
-def _plainly_typed(block: Block) -> bool:
-    return (
-        type(block.parent_id) is str
-        and type(block.proposer) is int
-        and type(block.view) is int
-        and all(
-            type(tx.tx_id) is int
-            and type(tx.payload) is str
-            and type(tx.submitted_at) is int
-            for tx in block.transactions
-        )
-    )
+def decode_log(wire: dict, memo: LineageMemo | None = None) -> Log:
+    """Rebuild a log by extending its anchor, checking every new parent link.
 
-
-def _same_prefix(entries: list, blocks: tuple[Block, ...]) -> bool:
-    """True iff each wire entry would decode to exactly the block beside it.
-
-    ``blocks`` are held by a memo, hence plainly typed, so a string field
-    can only equal a string; the integer fields need the wire side's type
-    checked (``1.0 == 1 == True`` in Python, but they hash differently).
-    A malformed entry raises what decoding it would raise.
-    """
-
-    for entry, block in zip(entries, blocks):
-        txs, proposer, view = entry["txs"], entry["proposer"], entry["view"]
-        held = block.transactions
-        if (
-            type(txs) is not list
-            or len(txs) != len(held)
-            or entry["parent"] != block.parent_id
-            or type(proposer) is not int
-            or proposer != block.proposer
-            or type(view) is not int
-            or view != block.view
-        ):
-            return False
-        for wire_tx, tx in zip(txs, held):
-            if type(wire_tx) is not list or len(wire_tx) != 3:
-                return False
-            tx_id, payload, submitted_at = wire_tx
-            if (
-                type(tx_id) is not int
-                or tx_id != tx.tx_id
-                or payload != tx.payload
-                or type(submitted_at) is not int
-                or submitted_at != tx.submitted_at
-            ):
-                return False
-    return True
-
-
-def decode_log(blocks: list, memo: LineageMemo | None = None) -> Log:
-    """Rebuild a log, re-validating genesis root and parent links.
-
-    Anchors at the longest wire prefix ``memo`` already holds (see the
-    module docstring) and builds only the rest; without a memo, or when
-    the wire disagrees with the held log anywhere, the anchor is genesis.
+    Without a memo only genesis is held, so only a full log decodes.
     """
 
     held = (LineageMemo() if memo is None else memo)._logs
     try:
-        log, start = held[GENESIS_BLOCK.block_id], 0
-        # Back from the tip: entry h claims the id of the block below it,
-        # and a held log of exactly h + 1 blocks ends at that height.
-        for height in range(len(blocks) - 1, 0, -1):
-            anchor = held.get(blocks[height]["parent"])
-            if anchor is not None and len(anchor) == height + 1:
-                if _same_prefix(blocks[:height], anchor.blocks[1:]):
-                    log, start = anchor, height
-                break
-        for entry in blocks[start:]:
+        log = held.get(wire["a"])
+        if log is None:
+            raise AnchorError("log anchored at a block this node does not hold")
+        height = wire["h"]
+        if type(height) is not int or height != len(log):
+            raise CodecError(f"anchor height {height!r}, held log has {len(log)} blocks")
+        for entry in wire["b"]:
             log = log.extend(
                 Block(
                     parent_id=entry["parent"],
@@ -199,19 +162,22 @@ def decode_log(blocks: list, memo: LineageMemo | None = None) -> Log:
                 )
             )
         return log
+    except CodecError:
+        raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise CodecError(f"malformed log on the wire: {exc}") from None
 
 
-def _encode_payload(payload: Payload) -> dict:
+def _encode_payload(payload: Payload, height: int) -> dict:
     if isinstance(payload, LogMessage):
-        return {"kind": "log", "ga_key": list(payload.ga_key), "log": encode_log(payload.log)}
+        log = encode_log(payload.log, height)
+        return {"kind": "log", "ga_key": list(payload.ga_key), "log": log}
     if isinstance(payload, ProposalMessage):
         vrf = payload.vrf
         return {
             "kind": "proposal",
             "view": payload.view,
-            "log": encode_log(payload.log),
+            "log": encode_log(payload.log, height),
             "vrf": {
                 "validator_id": vrf.validator_id,
                 "view": vrf.view,
@@ -220,14 +186,15 @@ def _encode_payload(payload: Payload) -> dict:
             },
         }
     if isinstance(payload, VoteMessage):
-        return {"kind": "vote", "ga_key": list(payload.ga_key), "log": encode_log(payload.log)}
+        log = encode_log(payload.log, height)
+        return {"kind": "vote", "ga_key": list(payload.ga_key), "log": log}
     if isinstance(payload, StructuralVote):
         return {
             "kind": "svote",
             "protocol": payload.protocol,
             "view": payload.view,
             "phase_index": payload.phase_index,
-            "log": encode_log(payload.log),
+            "log": encode_log(payload.log, height),
         }
     if isinstance(payload, RecoveryMessage):
         return {"kind": "recovery", "requested_at": payload.requested_at}
@@ -269,12 +236,16 @@ def _decode_payload(data: dict, memo: LineageMemo | None) -> Payload:
     raise CodecError(f"unknown payload kind {kind!r}")
 
 
-def encode_envelope(envelope: Envelope) -> dict:
-    """One envelope as a JSON-safe dict (payload + signature)."""
+def encode_envelope(envelope: Envelope, height: int = 1) -> dict:
+    """One envelope as a JSON-safe dict (payload + signature).
+
+    A carried log is anchored at its prefix of ``height`` blocks, which
+    the receiver must hold; the default is the full log.
+    """
 
     sig = envelope.signature
     return {
-        "payload": _encode_payload(envelope.payload),
+        "payload": _encode_payload(envelope.payload, height),
         "sig": {"signer": sig.signer, "digest": sig.payload_digest, "tag": sig.tag},
     }
 

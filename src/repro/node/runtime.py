@@ -42,9 +42,18 @@ retained envelope from its peers, replays from genesis with the
 validator asleep over the window (transmission suppressed below the wake
 tick — peers already have those frames), and re-enters the quorum at the
 wake tick with byte-identical state to the sim's crashed-then-woken
-validator.  Every node retains each envelope's wire record at its
+validator.  Every node retains each envelope it sent or accepted at its
 minimum delivery tick, so any single live peer's retention is a
 sufficient resync source.
+
+**Acknowledged frontiers.**  A log crosses the wire as the blocks above
+an anchor the receiver holds (:mod:`repro.node.codec`).  Each ``done(t)``
+marker carries the tips its sender's :class:`LineageMemo` admitted since
+the previous marker, and the receiver of the marker adds them to
+``acked[sender]``; :meth:`NodeRuntime.transmit` anchors each log at the
+longest prefix in the recipient's frontier.  The memo never forgets, so
+this positive knowledge stays true until the peer is a fresh process,
+which announces itself with ``resync_req`` and is reset to genesis.
 """
 
 from __future__ import annotations
@@ -55,6 +64,8 @@ import time
 from functools import partial
 from typing import Callable
 
+from repro.chain.genesis import GENESIS_BLOCK
+from repro.chain.log import Log
 from repro.chain.transactions import TransactionPool
 from repro.core.tobsvd import ProtocolContext, TobSvdConfig, TobSvdValidator
 from repro.crypto.signatures import KeyRegistry, SignatureError
@@ -63,7 +74,14 @@ from repro.faults import FaultPlan
 from repro.net.messages import Envelope
 from repro.net.network import MessageStats
 from repro.net.transport import Transport
-from repro.node.codec import CodecError, LineageMemo, decode_envelope, encode_envelope
+from repro.node.codec import (
+    AnchorError,
+    CodecError,
+    LineageMemo,
+    anchor_height,
+    decode_envelope,
+    encode_envelope,
+)
 from repro.node.failure import FailureDetector
 from repro.node.holdback import HoldbackQueue
 from repro.runctx import RunContext
@@ -72,6 +90,7 @@ from repro.tracebus import build_observability
 
 _CONTROL = EventPriority.CONTROL
 _DELIVERY = EventPriority.DELIVERY
+_GENESIS_ID = GENESIS_BLOCK.block_id
 
 #: Retention records per resync frame; keeps any one frame far below
 #: MAX_FRAME_BYTES even with log-bearing envelopes late in a run.
@@ -232,7 +251,7 @@ class NodeRuntime:
             self.observability.bus,
         )
         self.holdback = HoldbackQueue()
-        #: envelope id -> [min deliver tick, wire dict]; the resync source.
+        #: envelope id -> [min deliver tick, Envelope]; the resync source.
         self.retention: dict[str, list] = {}
         self.fault_plan = fault_plan
         self.crash_window = (
@@ -257,11 +276,15 @@ class NodeRuntime:
         self._poll_interval = poll_interval
         self._progress_timeout = progress_timeout
         self._started = False
-        #: Verified logs this node has decoded, by tip block id: what lets
-        #: the codec hash only the blocks of a received log it has not seen.
+        #: Verified logs this node holds, by tip block id: the anchors a
+        #: received log may extend.
         self.lineage = LineageMemo()
+        #: Tips admitted since the last ``done`` marker, which carries them.
+        self._fresh_tips: list[str] = []
+        #: Per peer, the tips it has acknowledged holding.
+        self.acked = {peer: {_GENESIS_ID} for peer in transport.peer_ids()}
         #: Refused ``env`` frames and ``resync`` records, by reason.
-        self.reject_reasons = {"shape": 0, "codec": 0, "signature": 0}
+        self.reject_reasons = {"shape": 0, "codec": 0, "anchor": 0, "signature": 0}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -310,25 +333,43 @@ class NodeRuntime:
     # -- outbound ------------------------------------------------------------
 
     def transmit(self, envelope: Envelope, deliver_tick: int, skip_signer: bool) -> None:
-        """Ship one envelope to every peer (called by :class:`NodeNetwork`)."""
+        """Ship one envelope to every peer (called by :class:`NodeNetwork`).
 
-        wire = encode_envelope(envelope)
-        self._retain(envelope.envelope_id, deliver_tick, wire)
+        A carried log is admitted (peers will anchor at this node's own
+        proposals) and anchored per peer at the longest prefix that peer
+        acknowledged; each distinct anchor is encoded once.
+        """
+
+        self._retain(envelope.envelope_id, deliver_tick, envelope)
+        log = self._admit(envelope)
         if self.tick < self._suppress_below:
             return
-        frame = {"t": "env", "at": deliver_tick, "env": wire}
+        frames: dict[int, dict] = {}
         signer = envelope.signature.signer
-        for peer in self.transport.peer_ids():
+        for peer, acked in self.acked.items():
             if skip_signer and peer == signer:
                 continue
+            height = 1 if log is None else anchor_height(log, acked)
+            frame = frames.get(height)
+            if frame is None:
+                wire = encode_envelope(envelope, height)
+                frame = frames[height] = {"t": "env", "at": deliver_tick, "env": wire}
             self.transport.send(peer, frame)
 
-    def _retain(self, envelope_id: str, deliver_tick: int, wire: dict) -> None:
+    def _retain(self, envelope_id: str, deliver_tick: int, envelope: Envelope) -> None:
         known = self.retention.get(envelope_id)
         if known is None:
-            self.retention[envelope_id] = [deliver_tick, wire]
+            self.retention[envelope_id] = [deliver_tick, envelope]
         elif deliver_tick < known[0]:
             known[0] = deliver_tick
+
+    def _admit(self, envelope: Envelope) -> Log | None:
+        """Hold the envelope's log, if any; its new tips ride the next ``done``."""
+
+        log = getattr(envelope.payload, "log", None)
+        if log is not None:
+            self._fresh_tips += self.lineage.admit(log)
+        return log
 
     # -- inbound -------------------------------------------------------------
 
@@ -340,7 +381,12 @@ class NodeRuntime:
             tick = message.get("at", -1)
             if isinstance(tick, int) and tick > self.done.get(peer, -1):
                 self.done[peer] = tick
+            tips, acked = message.get("tips"), self.acked.get(peer)
+            if isinstance(tips, list) and acked is not None:
+                acked.update(tip for tip in tips if type(tip) is str)
         elif kind == "resync_req":
+            if peer in self.acked:  # a fresh process: its memo holds genesis only
+                self.acked[peer] = {_GENESIS_ID}
             self._serve_resync(peer)
         elif kind == "resync":
             for record in message.get("records", ()):
@@ -368,6 +414,9 @@ class NodeRuntime:
         try:
             envelope = decode_envelope(wire, self.lineage)
             digest = envelope.payload.digest()
+        except AnchorError:
+            self.reject_reasons["anchor"] += 1
+            return
         except (CodecError, TypeError, ValueError):
             self.reject_reasons["codec"] += 1
             return
@@ -376,28 +425,34 @@ class NodeRuntime:
         except (SignatureError, TypeError):
             self.reject_reasons["signature"] += 1
             return
-        log = getattr(envelope.payload, "log", None)
-        if log is not None:
-            self.lineage.admit(log)
-        self.holdback.offer(envelope, deliver_tick)
-        self._retain(envelope.envelope_id, deliver_tick, wire)
+        if self.holdback.offer(envelope, deliver_tick):  # a copy's tips are held already
+            self._admit(envelope)
+        self._retain(envelope.envelope_id, deliver_tick, envelope)
 
     def _serve_resync(self, peer: int) -> None:
+        """Replay every retained envelope, in ``(tick, id)`` order, to ``peer``.
+
+        Logs are anchored against what this stream already carried: every
+        record passed verification here, so the receiver admits each one
+        and a replay hashes each block once.
+        """
+
         records = sorted(
             (tick, envelope_id)
             for envelope_id, (tick, _) in self.retention.items()
         )
+        carried = {_GENESIS_ID}
         total = max(len(records), 1)
         for offset in range(0, total, RESYNC_CHUNK):
-            chunk = records[offset : offset + RESYNC_CHUNK]
-            frame = {
-                "t": "resync",
-                "frontier": self.frontier,
-                "records": [
-                    [tick, self.retention[envelope_id][1]]
-                    for tick, envelope_id in chunk
-                ],
-            }
+            wires = []
+            for tick, envelope_id in records[offset : offset + RESYNC_CHUNK]:
+                envelope = self.retention[envelope_id][1]
+                log = getattr(envelope.payload, "log", None)
+                height = 1 if log is None else anchor_height(log, carried)
+                if log is not None:
+                    carried.update(block.block_id for block in log.blocks[height:])
+                wires.append([tick, encode_envelope(envelope, height)])
+            frame = {"t": "resync", "frontier": self.frontier, "records": wires}
             if offset + RESYNC_CHUNK >= total:
                 frame["last"] = True
             self.transport.send(peer, frame)
@@ -454,7 +509,8 @@ class NodeRuntime:
             self.sim.schedule_callback(tick, _DELIVERY, partial(deliver, envelope))
         self.sim.run_until(tick)
         self.frontier = tick
-        done = {"t": "done", "at": tick}
+        done = {"t": "done", "at": tick, "tips": self._fresh_tips}
+        self._fresh_tips = []
         for peer in self.transport.peer_ids():
             self.transport.send(peer, done)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from repro.chain.log import Log
 from repro.chain.transactions import Transaction
@@ -51,3 +51,8 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), children, max_size=3),
     max_leaves=6,
 )
+
+
+#: ``--hypothesis-profile=ci`` runs five times the default examples; the
+#: lineage-decode properties scale their counts from the loaded profile.
+settings.register_profile("ci", max_examples=5 * settings.get_profile("default").max_examples)

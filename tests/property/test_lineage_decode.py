@@ -1,13 +1,25 @@
-"""Differential hostile-decode properties: the lineage memo changes cost, not results.
+"""Differential hostile-decode properties for delta log frames.
 
-``decode_envelope(wire, memo)`` anchors a received log at the longest
-prefix the memo already holds and hashes only the rest;
-``decode_envelope(wire)`` rebuilds everything from the wire.  One
-runtime's memo is driven through shuffled, duplicated and mutated wire
-logs drawn from a forking lineage, and after every frame the two must
-agree: same accept/reject, and on accept the same ``log_id`` and the same
-blocks field for field, ``Transaction`` payloads and JSON types included.
-The memo may only grow from a frame that passed signature verification.
+A log crosses the wire as ``{"a": anchor, "h": height, "b": entries}``:
+the id of its block at ``height`` and the blocks above it.  One
+runtime's memo is driven through shuffled, duplicated and mutated frames
+drawn from a forking lineage, each anchored the way a sender with a
+right, stale, never-acknowledged, forged or wrong-height view of the
+receiver's frontier would anchor it.  After every frame:
+
+* an anchor the memo does not hold is an ``anchor`` reject, and nothing
+  else is;
+* a held anchor claimed at another height is a ``codec`` reject;
+* otherwise the decode equals, field for field, the memo-less decode of
+  the full log the frame names (the held anchor's blocks, then the
+  wire's), and an untampered frame anchored at one of its own blocks
+  decodes to the sender's ``envelope_id``, ``log_id``, block ids and tx
+  ids, whichever payload variant of the anchor the memo holds;
+* the memo grows only from a frame that passed signature verification.
+
+Finally every retained envelope is served as a resync to a fresh node,
+which must accept all of it, carry each block once and end up holding
+the same tips.
 """
 
 from __future__ import annotations
@@ -15,8 +27,9 @@ from __future__ import annotations
 import copy
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.chain.genesis import GENESIS_BLOCK
 from repro.chain.log import Log
 from repro.chain.transactions import Transaction
 from repro.core.tobsvd import TobSvdConfig
@@ -25,6 +38,7 @@ from repro.crypto.vrf import VRF
 from repro.net.messages import Envelope, LogMessage, ProposalMessage, VoteMessage
 from repro.net.transport import MemoryHub
 from repro.node.codec import (
+    AnchorError,
     CodecError,
     decode_envelope,
     decode_log,
@@ -36,9 +50,14 @@ from tests.conftest import JSON_VALUES
 
 CONFIG = TobSvdConfig(n=4, num_views=2, delta=1, seed=0)
 REGISTRY = KeyRegistry(CONFIG.n, seed=CONFIG.seed)
+GENESIS_ID = GENESIS_BLOCK.block_id
+#: Examples per property, scaled from the profile (5x under ``--hypothesis-profile=ci``).
+EXAMPLES = settings.default.max_examples
 
-def fresh_node() -> NodeRuntime:
-    return NodeRuntime(0, CONFIG, MemoryHub(range(CONFIG.n)).transport(0))
+
+def fresh_node(hub: MemoryHub | None = None, node_id: int = 0) -> NodeRuntime:
+    hub = MemoryHub(range(CONFIG.n)) if hub is None else hub
+    return NodeRuntime(node_id, CONFIG, hub.transport(node_id))
 
 
 @st.composite
@@ -65,7 +84,11 @@ def lineages(draw) -> list[Log]:
     return logs
 
 
-def signed_wire(draw, log: Log) -> dict:
+def block_ids(log: Log) -> list[str]:
+    return [block.block_id for block in log.blocks]
+
+
+def signed_envelope(draw, log: Log) -> Envelope:
     kind = draw(st.sampled_from(["log", "vote", "proposal"]))
     signer = draw(st.integers(0, CONFIG.n - 1))
     if kind == "log":
@@ -76,10 +99,9 @@ def signed_wire(draw, log: Log) -> dict:
         payload = ProposalMessage(
             view=len(log), log=log, vrf=VRF(seed=0).evaluate(signer, len(log))
         )
-    envelope = Envelope(
+    return Envelope(
         payload=payload, signature=REGISTRY.key_for(signer).sign(payload.digest())
     )
-    return encode_envelope(envelope)
 
 
 # -- mutations: each takes the wire's entry list and returns what to send --------
@@ -141,7 +163,7 @@ def wrong_height(draw, entries, lineage):
     if how == "repeat":
         index = _pick(draw, entries)
         return entries[: index + 1] + entries[index:]
-    donor = encode_log(draw(st.sampled_from(lineage)))
+    donor = encode_log(draw(st.sampled_from(lineage)))["b"]
     return entries[:1] + donor[2:] if len(donor) > 2 else entries
 
 
@@ -204,7 +226,7 @@ LOG_MUTATIONS = [
 
 def try_decode_log(entries) -> Log | None:
     try:
-        return decode_log(copy.deepcopy(entries))
+        return decode_log({"a": GENESIS_ID, "h": 1, "b": copy.deepcopy(entries)})
     except CodecError:
         return None
 
@@ -239,16 +261,108 @@ def resign(wire) -> None:
     }
 
 
-def draw_frame(draw, lineage) -> dict:
+def draw_frame(draw, lineage) -> tuple[dict, list[str], Envelope | None]:
+    """A full-form wire, the block ids of the log it was drawn from, and the
+    sender's envelope if the wire is that envelope untampered."""
+
     log = draw(st.sampled_from(lineage[1:]))
-    wire = signed_wire(draw, log)
+    envelope = signed_envelope(draw, log)
+    wire = encode_envelope(envelope)
     mutate = draw(st.sampled_from(LOG_MUTATIONS))
-    wire["payload"]["log"] = mutate(draw, wire["payload"]["log"], lineage)
+    wire["payload"]["log"]["b"] = mutate(draw, wire["payload"]["log"]["b"], lineage)
     if mutate is not untouched and draw(st.booleans()):
         resign(wire)
     if draw(st.integers(0, 9)) == 0:  # a valid frame with a bad signature
         wire["sig"][draw(st.sampled_from(["tag", "digest"]))] = "00" * 32
-    return wire
+    return wire, block_ids(log), envelope if mutate is untouched else None
+
+
+#: How a sender anchors a frame, by what it believes the receiver holds:
+#: its deepest acknowledged prefix ("acked"), an older one ("stale"), a
+#: block the receiver never acknowledged ("unacked"), an id no block has
+#: ("forged"), an acknowledged block at the wrong height, or any tip the
+#: receiver holds, related to the log or not ("foreign").
+ANCHORS = ["full", "acked", "acked", "stale", "unacked", "forged", "wrong_height", "foreign"]
+
+
+@st.composite
+def traffic(draw):
+    """The steps fed to one node: ``(tick, wire, ids, anchor, pick, sender)``."""
+
+    lineage = draw(lineages())
+    steps = []
+    for tick in range(draw(st.integers(4, 16))):
+        steps.append((tick, *draw_frame(draw, lineage)))
+        if draw(st.integers(0, 3)) == 0:  # the wire redelivers
+            steps.append((tick, *draw(st.sampled_from(steps))[1:]))
+    return [
+        (tick, wire, ids, draw(st.sampled_from(ANCHORS)), draw(st.integers(0, 99)), sender)
+        for tick, wire, ids, sender in steps
+    ]
+
+
+def lax_then_plain():
+    """A copy with a float ``submitted_at`` (same ids, same digest), then the plain copy.
+
+    Pinned because a memo that refuses to hold the lax copy's log, while
+    retention keeps that first copy, ends up with tips no resync rebuilds.
+    """
+
+    log = Log.genesis().append_block(
+        (Transaction(tx_id=0, payload="", submitted_at=0),), proposer=0, view=0
+    )
+    payload = LogMessage(ga_key=("tobsvd", 2), log=log)
+    envelope = Envelope(payload=payload, signature=REGISTRY.key_for(0).sign(payload.digest()))
+    plain = encode_envelope(envelope)
+    lax = copy.deepcopy(plain)
+    lax["payload"]["log"]["b"][0]["txs"][0][2] = 0.0
+    return [
+        (0, lax, block_ids(log), "full", 0, envelope),
+        (1, plain, block_ids(log), "full", 0, envelope),
+        (2, plain, block_ids(log), "acked", 0, envelope),
+    ]
+
+
+def anchored(wire: dict, node: NodeRuntime, how: str, pick: int, ids: list[str]) -> dict:
+    """``wire`` re-anchored by a sender that believes ``how`` about ``node``'s memo."""
+
+    held = node.lineage._logs
+    acked = [k for k in range(1, len(ids) + 1) if ids[k - 1] in held]
+    unacked = [k for k in range(1, len(ids) + 1) if ids[k - 1] not in held]
+    height = max(acked)
+    if how == "full":
+        height = 1
+    elif how == "stale":
+        height = acked[pick % len(acked)]
+    elif how == "unacked" and unacked:
+        height = unacked[pick % len(unacked)]
+    anchor, claimed = ids[height - 1], height
+    if how == "forged":
+        anchor = f"{pick:064x}"
+    elif how == "wrong_height":
+        claimed += 1 if pick % 2 or height == 1 else -1
+    elif how == "foreign":
+        anchor = sorted(held)[pick % len(held)]
+        claimed = len(held[anchor])
+    delta = copy.deepcopy(wire)
+    entries = delta["payload"]["log"]["b"]
+    delta["payload"]["log"] = {"a": anchor, "h": claimed, "b": entries[height - 1 :]}
+    return delta
+
+
+def named_full_form(delta: dict, node: NodeRuntime):
+    """The full-form wire a delta frame names to ``node``, or the reject it must be."""
+
+    log = delta["payload"]["log"]
+    anchor = node.lineage._logs.get(log["a"])
+    if anchor is None:
+        return "anchor"
+    if log["h"] != len(anchor):
+        return "codec"
+    full = copy.deepcopy(delta)
+    full["payload"]["log"] = encode_log(anchor)
+    full["payload"]["log"]["b"] += copy.deepcopy(log["b"])
+    return full
 
 
 def strict_form(log: Log):
@@ -256,57 +370,85 @@ def strict_form(log: Log):
 
     return (
         log.log_id,
-        [block.block_id for block in log.blocks],
+        block_ids(log),
         json.dumps(encode_log(log), sort_keys=True),
     )
 
 
-def check_frame(node: NodeRuntime, wire: dict, tick: int) -> bool:
-    """Feed one frame; assert parity with the stateless decode.  True if accepted."""
+def id_form(envelope: Envelope):
+    log = envelope.payload.log
+    return (
+        envelope.envelope_id,
+        log.log_id,
+        block_ids(log),
+        [tx.tx_id for tx in log.transactions()],
+    )
 
-    reference, verified = stateless(copy.deepcopy(wire))
+
+def check_frame(node: NodeRuntime, delta: dict, tick: int, sender: Envelope | None = None) -> bool:
+    """Feed one frame; assert it means what it names (module docstring).  True if accepted."""
+
+    named = named_full_form(delta, node)
     try:
-        decoded = decode_envelope(copy.deepcopy(wire), node.lineage)
+        decoded = decode_envelope(copy.deepcopy(delta), node.lineage)
+    except AnchorError:
+        decoded = "anchor"
     except CodecError:
-        decoded = None
-    assert (decoded is None) == (reference is None)
-    if decoded is not None:
-        assert type(decoded.payload) is type(reference.payload)
-        assert decoded.envelope_id == reference.envelope_id
-        assert strict_form(decoded.payload.log) == strict_form(reference.payload.log)
+        decoded = "codec"
+    verified = False
+    if isinstance(named, str):
+        assert decoded == named
+    else:
+        reference, verified = stateless(named)
+        assert (decoded == "codec") == (reference is None)
+        if reference is not None:
+            assert type(decoded.payload) is type(reference.payload)
+            assert decoded.envelope_id == reference.envelope_id
+            assert strict_form(decoded.payload.log) == strict_form(reference.payload.log)
+            if sender is not None:
+                assert id_form(decoded) == id_form(sender)
 
-    held, rejects = len(node.lineage), node.codec_rejects
-    node._ingest(wire, tick)
-    assert (node.codec_rejects == rejects) == verified
+    before, held = dict(node.reject_reasons), len(node.lineage)
+    node._ingest(delta, tick)
+    grew = {reason: node.reject_reasons[reason] - count for reason, count in before.items()}
+    if isinstance(named, str):
+        assert grew == {**dict.fromkeys(before, 0), named: 1}
+    else:
+        assert grew["anchor"] == 0
+        assert (sum(grew.values()) == 0) == verified
     if not verified:
         assert len(node.lineage) == held
     return verified
 
 
 class TestLineageDecodeParity:
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_memo_and_stateless_decode_agree_on_every_frame(self, data):
-        draw = data.draw
-        lineage = draw(lineages())
-        node = fresh_node()
-        frames = [draw_frame(draw, lineage) for _ in range(draw(st.integers(4, 16)))]
-        for tick, wire in enumerate(frames):
-            check_frame(node, wire, tick)
-            if draw(st.integers(0, 3)) == 0:  # the wire redelivers
-                check_frame(node, draw(st.sampled_from(frames[: tick + 1])), tick)
+    @settings(max_examples=3 * EXAMPLES // 2, deadline=None)
+    @given(traffic=traffic())
+    @example(traffic=lax_then_plain())
+    def test_memo_and_stateless_decode_agree_on_every_frame(self, traffic):
+        hub = MemoryHub(range(CONFIG.n))
+        node = fresh_node(hub)
+        for tick, wire, ids, how, pick, sender in traffic:
+            # Anchored at one of its own blocks, an untampered frame is the sender's log.
+            sender = sender if how in ("full", "acked", "stale") else None
+            check_frame(node, anchored(wire, node, how, pick, ids), tick, sender)
 
-        # The resync shape: everything retained, in (tick, id) order, into
-        # an empty memo — a resumed node's first replay.
-        records = sorted((tick, eid) for eid, (tick, _) in node.retention.items())
-        resumed = fresh_node()
-        for tick, envelope_id in records:
-            assert check_frame(resumed, node.retention[envelope_id][1], tick)
+        # A respawned peer asks for everything retained: a fresh memo, one
+        # resync stream, each block carried once.
+        resumed = fresh_node(hub, 1)
+        node._serve_resync(1)
+        carried = 0
+        for _, frame in hub.inbox(1):
+            for tick, wire in frame["records"]:
+                log = wire["payload"].get("log")
+                carried += len(log["b"]) if log else 0
+                assert check_frame(resumed, wire, tick)
         assert resumed.codec_rejects == 0
-        assert len(resumed.holdback) == len(records)
+        assert len(resumed.holdback) == len(node.retention)
         assert set(resumed.lineage._logs) == set(node.lineage._logs)
+        assert carried == len(node.lineage) - 1
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=3 * EXAMPLES // 5, deadline=None)
     @given(data=st.data())
     def test_clean_traffic_in_any_order_leaves_every_log_held(self, data):
         draw = data.draw
@@ -314,7 +456,9 @@ class TestLineageDecodeParity:
         node = fresh_node()
         order = draw(st.permutations(lineage[1:] * 2))
         for tick, log in enumerate(order):
-            assert check_frame(node, signed_wire(draw, log), tick)
+            envelope = signed_envelope(draw, log)
+            delta = anchored(encode_envelope(envelope), node, "acked", 0, block_ids(log))
+            assert check_frame(node, delta, tick, envelope)
         assert node.codec_rejects == 0
         for log in lineage:
             held = node.lineage._logs[log.tip.block_id]

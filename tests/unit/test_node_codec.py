@@ -25,8 +25,10 @@ from repro.net.messages import (
     VoteMessage,
 )
 from repro.node.codec import (
+    AnchorError,
     CodecError,
     LineageMemo,
+    anchor_height,
     decode_envelope,
     decode_log,
     encode_envelope,
@@ -120,7 +122,7 @@ class TestRejection:
 
     def test_broken_parent_link_is_a_codec_error(self):
         wire = encode_envelope(sign(LogMessage(ga_key=("tobsvd", 0), log=sample_log())))
-        wire["payload"]["log"][1]["parent"] = "ff" * 32
+        wire["payload"]["log"]["b"][1]["parent"] = "ff" * 32
         with pytest.raises(CodecError):
             decode_envelope(wire)
 
@@ -130,21 +132,22 @@ class TestRejection:
 
 
 class TestLineageMemo:
-    """Decode against a memo: same logs, built from what is already held."""
+    """Decode against a memo: the blocks above a held anchor, extended in place."""
 
     @staticmethod
-    def wire_log(log: Log) -> list:
-        return json.loads(json.dumps(encode_log(log)))
+    def wire_log(log: Log, height: int = 1) -> dict:
+        return json.loads(json.dumps(encode_log(log, height)))
 
     def test_known_prefix_is_shared_not_rebuilt(self):
         memo = LineageMemo()
         base = decode_log(self.wire_log(sample_log()), memo)
         memo.admit(base)
         longer = sample_log().append_block((), proposer=3, view=2)
-        decoded = decode_log(self.wire_log(longer), memo)
+        wire = self.wire_log(longer, height=len(base))
+        assert len(wire["b"]) == 1  # only the block the receiver lacks
+        decoded = decode_log(wire, memo)
         assert decoded.log_id == longer.log_id
         assert decoded.parent is base
-        assert decoded.blocks[:-1] == base.blocks
         assert all(a is b for a, b in zip(decoded.blocks, base.blocks))
 
     def test_decode_never_writes_the_memo(self):
@@ -154,45 +157,86 @@ class TestLineageMemo:
 
     def test_admit_holds_every_new_ancestor(self):
         memo = LineageMemo()
-        memo.admit(decode_log(self.wire_log(sample_log()), memo))
+        fresh = memo.admit(decode_log(self.wire_log(sample_log()), memo))
         assert len(memo) == len(sample_log())
+        assert sorted(fresh) == sorted(b.block_id for b in sample_log().blocks[1:])
+        longer = sample_log().append_block((), proposer=3, view=2)
+        assert memo.admit(longer) == [longer.tip.block_id]  # only what is new
+        assert memo.admit(longer) == []
 
     def test_prefix_that_differs_from_the_held_log_is_rebuilt_from_the_wire(self):
         memo = LineageMemo()
         memo.admit(decode_log(self.wire_log(sample_log()), memo))
         wire = self.wire_log(sample_log().append_block((), proposer=3, view=2))
-        wire[0]["txs"][0][1] = "another payload"  # same tx_id: every block id survives
-        decoded = decode_log(wire, memo)
+        wire["b"][0]["txs"][0][1] = "another payload"  # same tx_id: every block id survives
+        decoded = decode_log(wire, memo)  # a full log: nothing is taken from the memo
         assert decoded.log_id == decode_log(wire).log_id
         assert decoded.blocks[1].transactions[0].payload == "another payload"
+
+    def test_held_variant_stands_in_for_the_senders(self):
+        memo = LineageMemo()
+        held = decode_log(self.wire_log(sample_log()), memo)
+        memo.admit(held)
+        wire = self.wire_log(sample_log().append_block((), proposer=3, view=2))
+        wire["b"][0]["txs"][0][1] = "other"  # same tx_id: a Byzantine payload variant
+        longer = decode_log(wire)
+        decoded = decode_log(self.wire_log(longer, height=3), memo)
+        assert decoded.log_id == longer.log_id  # ids name content identity
+        assert decoded.blocks[1].transactions[0].payload == "a"  # the held variant
 
     def test_parent_id_of_a_held_log_at_the_wrong_height_is_no_anchor(self):
         memo = LineageMemo()
         memo.admit(decode_log(self.wire_log(sample_log()), memo))
-        wire = self.wire_log(sample_log().append_block((), proposer=3, view=2))
-        with pytest.raises(CodecError):
-            decode_log(wire[1:], memo)  # entry 0 now names the block at height 1
-        with pytest.raises(CodecError):
-            decode_log(wire[1:])
+        wire = self.wire_log(sample_log().append_block((), proposer=3, view=2), height=3)
+        for height in (2, 4, True, 3.0):
+            wire["h"] = height
+            with pytest.raises(CodecError) as caught:
+                decode_log(wire, memo)
+            assert type(caught.value) is CodecError
+
+    def test_anchor_the_receiver_does_not_hold_is_an_anchor_error(self):
+        wire = self.wire_log(sample_log().append_block((), proposer=3, view=2), height=3)
+        with pytest.raises(AnchorError):
+            decode_log(wire)  # a memo-less decode holds genesis only
+        wire["a"] = "ff" * 32
+        memo = LineageMemo()
+        memo.admit(sample_log())
+        with pytest.raises(AnchorError):
+            decode_log(wire, memo)
+        wire["a"] = ["unhashable"]
+        with pytest.raises(CodecError) as caught:
+            decode_log(wire, memo)
+        assert type(caught.value) is CodecError
 
     def test_equal_but_differently_typed_field_is_not_a_match(self):
         memo = LineageMemo()
         memo.admit(decode_log(self.wire_log(sample_log()), memo))
         wire = self.wire_log(sample_log().append_block((), proposer=3, view=2))
-        wire[0]["proposer"] = 2.0  # == 2, but hashes as a float: block 1's id moves
+        wire["b"][0]["proposer"] = 2.0  # == 2, but hashes as a float: block 1's id moves
         with pytest.raises(CodecError):
             decode_log(wire, memo)
 
-    def test_oddly_typed_log_decodes_but_is_not_held(self):
+    def test_oddly_typed_log_is_held_under_its_own_ids(self):
         wire = self.wire_log(sample_log())
-        wire[-1]["view"] = 1.0  # the tip may carry anything canonicalisable
+        wire["b"][-1]["view"] = 1.0  # the tip may carry anything canonicalisable
         memo = LineageMemo()
         decoded = decode_log(wire, memo)
-        assert decoded.log_id == decode_log(wire).log_id
+        assert decoded.log_id == decode_log(wire).log_id != sample_log().log_id
         memo.admit(decoded)
-        assert len(memo) == len(sample_log()) - 1  # its plainly-typed ancestors only
+        assert len(memo) == len(sample_log())
+        assert decode_log(encode_log(decoded, height=3), memo) is decoded
 
     def test_memos_are_independent(self):
         one, other = LineageMemo(), LineageMemo()
         one.admit(decode_log(self.wire_log(sample_log()), one))
         assert len(other) == 1
+
+
+class TestAnchorHeight:
+    def test_longest_acknowledged_prefix(self):
+        log = sample_log().append_block((), proposer=3, view=2)
+        ids = [block.block_id for block in log.blocks]
+        assert anchor_height(log, {ids[0]}) == 1
+        assert anchor_height(log, {ids[0], ids[1]}) == 2
+        assert anchor_height(log, set(ids)) == len(log)
+        assert anchor_height(log, {ids[0], ids[2], "ff" * 32}) == 3

@@ -70,7 +70,7 @@ class TestIllTypedFrames:
         wire["sig"]["signer"] = [1]
         node = runtime()
         node._ingest(wire, 1)
-        assert node.reject_reasons == {"shape": 0, "codec": 0, "signature": 1}
+        assert node.reject_reasons == {"shape": 0, "codec": 0, "anchor": 0, "signature": 1}
         assert untouched(node)
 
     def test_dict_inside_ga_key_is_a_codec_reject(self):
@@ -78,7 +78,7 @@ class TestIllTypedFrames:
         wire["payload"]["ga_key"] = ["tobsvd", {"view": 1}]
         node = runtime()
         node._ingest(wire, 1)
-        assert node.reject_reasons == {"shape": 0, "codec": 1, "signature": 0}
+        assert node.reject_reasons == {"shape": 0, "codec": 1, "anchor": 0, "signature": 0}
         assert untouched(node)
 
     def test_dict_requested_at_is_a_codec_reject(self):
@@ -86,7 +86,7 @@ class TestIllTypedFrames:
         wire["payload"]["requested_at"] = {"at": 3}
         node = runtime()
         node._ingest(wire, 1)
-        assert node.reject_reasons == {"shape": 0, "codec": 1, "signature": 0}
+        assert node.reject_reasons == {"shape": 0, "codec": 1, "anchor": 0, "signature": 0}
         assert untouched(node)
 
     def test_drain_survives_them_and_still_takes_the_next_frame(self):
@@ -111,10 +111,10 @@ class TestRejectReasons:
         forged = copy.deepcopy(WIRES[0])
         forged["sig"]["tag"] = "00" * 32
         node._ingest(forged, 1)
-        assert node.reject_reasons == {"shape": 2, "codec": 1, "signature": 1}
+        assert node.reject_reasons == {"shape": 2, "codec": 1, "anchor": 0, "signature": 1}
         result = node.result()
         assert result["codec_rejects"] == 4
-        assert result["reject_reasons"] == {"shape": 2, "codec": 1, "signature": 1}
+        assert result["reject_reasons"] == {"shape": 2, "codec": 1, "anchor": 0, "signature": 1}
         assert untouched(node)
 
     def test_a_valid_frame_is_held_retained_and_remembered(self):
@@ -123,6 +123,20 @@ class TestRejectReasons:
         assert node.codec_rejects == 0
         assert len(node.holdback) == 1 and len(node.retention) == 1
         assert len(node.lineage) == len(sample_log())
+
+    def test_an_unheld_anchor_is_an_anchor_reject_then_the_held_one_decodes(self):
+        payload = LogMessage(ga_key=("tobsvd", 1), log=sample_log())
+        envelope = Envelope(
+            payload=payload, signature=REGISTRY.key_for(1).sign(payload.digest())
+        )
+        delta = encode_envelope(envelope, 2)  # anchored at the first block above genesis
+        node = runtime()
+        node._ingest(delta, 1)
+        assert node.reject_reasons == {"shape": 0, "codec": 0, "anchor": 1, "signature": 0}
+        assert untouched(node)
+        node.lineage.admit(sample_log().prefix(2))
+        node._ingest(delta, 1)
+        assert node.codec_rejects == 1 and len(node.holdback) == 1
 
     def test_resync_records_take_the_same_path(self):
         node = runtime()

@@ -1,4 +1,4 @@
-"""Transport units: backoff determinism, hub FIFO, bounded-queue shedding.
+"""Transport units: backoff determinism, hub FIFO, bounded-queue shedding, counted errors.
 
 The reconnect schedule is part of the deterministic record — it must be
 a pure function of link identity and attempt, mirroring the sweep's
@@ -8,12 +8,15 @@ FIFO per link, because the runtime's barrier correctness rides on it.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.faults import retry_backoff
 from repro.net.transport import (
     DEFAULT_QUEUE_CAP,
     MemoryHub,
+    TcpTransport,
     _PeerLink,
     reconnect_delay,
 )
@@ -107,3 +110,41 @@ class TestBoundedLinkQueue:
         link.close()
         link.enqueue({"i": 0})
         assert len(link._deque) == 0
+
+
+class TestLinkErrors:
+    """A failure the supervisor recovers from is still counted, by type."""
+
+    def test_a_refusing_peer_is_counted_by_error_type(self):
+        from repro.node.deploy import allocate_loopback_ports
+
+        addresses = allocate_loopback_ports(2)  # nothing listens on node 1's port
+        transport = TcpTransport(0, addresses, backoff_base=0.01, backoff_cap=0.02)
+        try:
+            deadline = time.monotonic() + 10.0
+            stats = transport.link_stats()
+            while sum(stats["links"][1]["errors"].values()) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+                stats = transport.link_stats()
+        finally:
+            transport.close()
+        link = stats["links"][1]
+        assert set(link["errors"]) == {"ConnectionRefusedError"}
+        assert link["errors"]["ConnectionRefusedError"] >= 2
+        assert link["drops"] == 0
+        assert stats["listener_errors"] == {}
+
+    def test_a_failing_listener_close_is_counted(self):
+        from repro.node.deploy import allocate_loopback_ports
+
+        transport = TcpTransport(0, allocate_loopback_ports(1))
+        listener = transport._listener
+
+        class FailingClose:
+            def close(self):
+                listener.close()
+                raise OSError("close failed")
+
+        transport._listener = FailingClose()
+        transport.close()
+        assert transport.link_stats()["listener_errors"] == {"OSError": 1}
