@@ -379,6 +379,7 @@ class StructuralTob(World):
         pool: TransactionPool | None = None,
         trace_mode: str = "full",
         registry: KeyRegistry | None = None,
+        hosted: frozenset[int] | None = None,
     ) -> None:
         if structure.best_case_latency_deltas > structure.view_length_deltas:
             raise ValueError(
@@ -395,6 +396,7 @@ class StructuralTob(World):
             delay_policy=delay_policy,
             trace_mode=trace_mode,
             registry=registry,
+            hosted=hosted,
         )
         self.structure = structure
         self.config = config
@@ -413,11 +415,15 @@ class StructuralTob(World):
             lambda *wiring: factory(*wiring, self.context),
         )
 
-    def run(self) -> StructuralResult:
-        self.run_to(
+    @property
+    def horizon(self) -> int:
+        return (
             self.context.view_start(self.config.num_views)
             + self.structure.phases_failure_view * self.config.delta
         )
+
+    def run(self) -> StructuralResult:
+        self.run_to(self.horizon)
         return StructuralResult(
             structure=self.structure,
             config=self.config,

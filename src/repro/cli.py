@@ -857,11 +857,26 @@ def _node_config(args: argparse.Namespace):
                         seed=args.seed)
 
 
+def _deployment_plan(faults: str | None, config):
+    """Compile ``--faults`` for a deployment; message faults are refused
+    here, before any process or socket exists."""
+
+    from repro.node.deploy import compile_deployment_plan
+    from repro.node.runtime import UndeployablePlanError
+
+    if not faults:
+        return None
+    try:
+        return compile_deployment_plan(_parse_fault_spec(faults), config)
+    except UndeployablePlanError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
 def _cmd_node(args: argparse.Namespace) -> int:
     """One protocol node over real TCP: the per-host runtime."""
 
     from repro.net.transport import TcpTransport
-    from repro.node.deploy import compile_deployment_plan
+    from repro.node.deploy import stable_builder
     from repro.node.failure import FailureDetector
     from repro.node.runtime import NodeRuntime
 
@@ -874,9 +889,8 @@ def _cmd_node(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     config = _node_config(args)
-    plan = (
-        compile_deployment_plan(_parse_fault_spec(args.faults), config)
-        if args.faults else None
+    world = stable_builder(config, _deployment_plan(args.faults, config))(
+        hosted=frozenset({args.id})
     )
     detector = FailureDetector(
         (peer for peer in addresses if peer != args.id),
@@ -884,10 +898,8 @@ def _cmd_node(args: argparse.Namespace) -> int:
     )
     transport = TcpTransport(args.id, addresses, on_heard=detector.heard)
     runtime = NodeRuntime(
-        args.id,
-        config,
+        world,
         transport,
-        fault_plan=plan,
         chaos=args.chaos,
         resumed=args.resumed,
         detector=detector,
@@ -912,14 +924,11 @@ def _cmd_node(args: argparse.Namespace) -> int:
 def _cmd_deploy_local(args: argparse.Namespace) -> int:
     """n node processes over loopback TCP, checked against the sim oracle."""
 
-    from repro.node.deploy import (
-        compare_to_oracle,
-        compile_deployment_plan,
-        run_local_deployment,
-    )
+    from repro.node.deploy import compare_to_oracle, run_local_deployment
 
     config = _node_config(args)
-    spec = _parse_fault_spec(args.faults) if args.faults else None
+    plan = _deployment_plan(args.faults, config)
+    spec = plan.spec if plan is not None else None
     deployment = run_local_deployment(
         config,
         fault_spec=spec,
@@ -947,7 +956,6 @@ def _cmd_deploy_local(args: argparse.Namespace) -> int:
             print(f"  node {vid}: refused {node['codec_rejects']} wire records ({reasons})")
     code = 0
     if not args.no_verify:
-        plan = compile_deployment_plan(spec, config) if spec else None
         report = compare_to_oracle(config, deployment.nodes, plan)
         verdict = "byte-identical" if report["identical"] else "DIVERGED"
         print(f"oracle check: {verdict} "
@@ -1251,12 +1259,13 @@ def build_parser() -> argparse.ArgumentParser:
         target.add_argument("--delta", type=int, default=1, help="Δ in ticks")
         target.add_argument("--seed", type=int, default=0, help="run seed")
         target.add_argument("--faults", default=None, metavar="JSON|@FILE",
-                            help="FaultSpec as inline JSON or @path; crash "
-                            "windows become sleep windows (or real process "
-                            "kills under --chaos kill)")
+                            help="crash-only FaultSpec as inline JSON or "
+                            "@path; every crash window is a sleep (the "
+                            "earliest a real process kill under --chaos "
+                            "kill); message faults are refused")
         target.add_argument("--chaos", choices=("sleep", "kill"),
                             default="sleep",
-                            help="how a planned crash window manifests: "
+                            help="how a node's earliest crash window manifests: "
                             "cooperative sleep (sim-exact) or a real SIGKILL "
                             "with resync-on-respawn")
         target.add_argument("--suspicion-timeout", type=float, default=10.0,

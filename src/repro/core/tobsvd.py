@@ -439,6 +439,7 @@ class TobSvdProtocol(World):
         trace_mode: str = "full",
         registry: KeyRegistry | None = None,
         fault_plan=None,
+        hosted: frozenset[int] | None = None,
     ) -> None:
         super().__init__(
             config.n,
@@ -451,6 +452,7 @@ class TobSvdProtocol(World):
             registry=registry,
             buffer_while_asleep=buffer_while_asleep,
             fault_plan=fault_plan,
+            hosted=hosted,
         )
         self.config = config
         self.pool = pool if pool is not None else TransactionPool()
@@ -469,26 +471,18 @@ class TobSvdProtocol(World):
             else lambda *wiring: byzantine_factory(*wiring, self.context),
         )
 
+    @property
+    def horizon(self) -> int:
+        return self.config.horizon
+
     def run(self) -> TobSvdResult:
         """Execute the configured number of views and return the result."""
 
         self.start()
-        self.advance(self.config.horizon)
+        self.advance(self.horizon)
         return self.finish()
 
     # -- staged execution (snapshot/fork entry points) ---------------------
-
-    def start(self) -> None:
-        """Install the controller and every validator/adversary timer.
-
-        Split out of :meth:`run` so a run can be paused mid-flight:
-        ``start(); advance(T)`` produces exactly the state an
-        uninterrupted run passes through at tick ``T``, which
-        :mod:`repro.snapshot` serializes.  Calling :meth:`run` afterwards
-        (or on a forked copy) resumes without re-installing anything.
-        """
-
-        super().start(self.config.horizon)
 
     def extend_horizon(self, new_num_views: int) -> None:
         """Grow a started run to ``new_num_views`` (snapshot-fork override).

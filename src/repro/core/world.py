@@ -1,18 +1,21 @@
-"""Run assembly: in what order a simulated run is wired and started.
+"""Run assembly: in what order a run is wired and started.
 
 Every simulated driver — :class:`~repro.core.tobsvd.TobSvdProtocol`,
 :class:`~repro.baselines.structural_tob.StructuralTob`,
 :func:`~repro.core.ga_host.run_standalone_ga`,
 :func:`~repro.baselines.mr_ga.run_mr_ga` — is a :class:`World` plus its
-own node types and result record.  The order below is the byte-identity
-contract (docs/ARCHITECTURE.md, "Run assembly and calendar order"), and
-this module is the only place that knows it:
+own node types and result record, and so is every deployed validator: a
+:class:`~repro.node.runtime.NodeRuntime` runs the world its deployment's
+builder returns for ``hosted={node_id}``, the sim oracle the one it returns
+for every id (docs/ARCHITECTURE.md, "Real transport runtime").  The order
+below is the byte-identity contract (docs/ARCHITECTURE.md, "Run assembly
+and calendar order"), and this module is the only place that knows it:
 
 1. substrate: simulator, key registry, network, observability,
    :class:`~repro.sleepy.controller.SleepController`;
-2. :meth:`World.populate`, per validator id ascending: build the node,
-   register it with the network (registration order is the network's bit
-   order), hand it to the controller;
+2. :meth:`World.populate`, per *hosted* validator id ascending: build the
+   node, register it with the network (registration order is the network's
+   bit order), hand it to the controller;
 3. :meth:`World.start`: the controller's CONTROL events, then every
    honest validator's ``setup`` timers, then every Byzantine node's — the
    order events enter a ``(tick, priority)`` bucket is the order they run;
@@ -50,6 +53,7 @@ class World:
         registry: KeyRegistry | None = None,
         buffer_while_asleep: bool = True,
         fault_plan=None,
+        hosted: frozenset[int] | None = None,
     ) -> None:
         # A caller-provided registry must be the (n, seed) one this run
         # would build itself — the sweep prebuild cache hands back exactly
@@ -76,6 +80,9 @@ class World:
             self.simulator, self.network, self.schedule, self.corruption, self._bus,
             fault_plan=fault_plan,
         )
+        #: The validator ids living in this process; the others are remote
+        #: (reached through ``network.egress``, heard through ``network.ingress``).
+        self.hosted = frozenset(range(n)) if hosted is None else frozenset(hosted)
         self.validators: dict[int, object] = {}
         self.byzantine_nodes: dict[int, object] = {}
         self._started = False
@@ -86,13 +93,13 @@ class World:
         honest_factory: NodeFactory,
         adversary_factory: NodeFactory | None,
     ) -> None:
-        """Build, register and manage one node per validator id, ascending.
+        """Build, register and manage one node per hosted id, ascending.
 
         The factories are used and dropped: a run holds no closures, so it
         stays picklable for :func:`repro.snapshot.capture`.
         """
 
-        for vid in range(self.registry.n):
+        for vid in sorted(self.hosted):
             if vid in byzantine_ids:
                 if adversary_factory is None:
                     raise ValueError("byzantine validators declared but no factory given")
@@ -106,16 +113,19 @@ class World:
             self.controller.manage(node)
             book[vid] = node
 
-    def start(self, horizon: int) -> None:
+    def start(self, horizon: int | None = None) -> None:
         """Write the run's CONTROL and TIMER events for ``[0, horizon]``.
 
-        Idempotent: a started run (resumed, forked, or simply ``run()``
-        twice) installs nothing again.
+        ``horizon`` defaults to the run's own ``horizon``, which the
+        protocol drivers define.  Idempotent: a started run (resumed,
+        forked, or simply ``run()`` twice) installs nothing again —
+        ``start(); advance(T)`` is exactly the state an uninterrupted run
+        passes through at tick ``T``, which :mod:`repro.snapshot` captures.
         """
 
         if self._started:
             return
-        self.controller.install(horizon)
+        self.controller.install(self.horizon if horizon is None else horizon)
         for validator in self.validators.values():
             validator.setup()
         for node in self.byzantine_nodes.values():

@@ -354,31 +354,18 @@ class FaultPlan:
 
     # -- process-level chaos (node runtime reuse) ----------------------------
 
-    def crash_window_for(self, validator: int) -> CrashWindow | None:
-        """This validator's (earliest) crash window, or None.
-
-        The node runtime interprets the window at process level: in kill
-        mode the hosting process SIGKILLs itself at ``start`` and the
-        respawned process replays with the validator asleep over
-        ``[start, end)`` — the same window the simulator oracle applies
-        via the sleep controller, which is what keeps the kill-and-rejoin
-        deployment byte-identical to the sim.
-        """
-
-        chosen: CrashWindow | None = None
-        for window in self.crash_windows:
-            if window.validator == validator and (
-                chosen is None or window.start < chosen.start
-            ):
-                chosen = window
-        return chosen
-
     def kill_schedule(self) -> dict[int, tuple[int, int]]:
         """``validator -> (kill_tick, wake_tick)`` for process-level chaos.
 
-        One entry per crashed validator (compile assigns each victim a
-        single merged window); the deploy harness uses it to know which
-        processes will self-kill and when to expect them back.
+        One entry per crashed validator: its earliest window.  A victim can
+        have several (compile merges only overlapping or adjacent windows,
+        and a partition spec crashes its isolated group once per window),
+        but only the earliest is a process kill: the node SIGKILLs itself
+        at the end of ``kill_tick``, and the respawned process replays from
+        genesis, transmitting nothing below ``wake_tick``, with every window
+        run as a sleep by its world's controller — as in the simulator
+        oracle.  The deploy harness uses it to know which processes will
+        self-kill.
         """
 
         schedule: dict[int, tuple[int, int]] = {}

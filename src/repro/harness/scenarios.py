@@ -23,6 +23,11 @@ common ones are:
 The schedule builders behind the last two (:func:`late_join_schedule`,
 :func:`bursty_schedule`) are exposed separately so the sweep engine can
 apply them to the honest subset of adversarial grids.
+
+The stable, churn, late-join and bursty builders also take ``hosted``,
+the validator ids the returned world populates (default: all).  A
+deployment calls one of them with ``hosted={node_id}`` per node runtime
+and with every id for its sim oracle (:mod:`repro.node.deploy`).
 """
 
 from __future__ import annotations
@@ -50,13 +55,14 @@ def stable_scenario(
     trace_mode: str = "full",
     registry: KeyRegistry | None = None,
     fault_plan=None,
+    hosted: frozenset[int] | None = None,
 ) -> TobSvdProtocol:
     """Everyone honest and always awake."""
 
     config = TobSvdConfig(n=n, num_views=num_views, delta=delta, seed=seed)
     return TobSvdProtocol(
         config, pool=pool, trace_mode=trace_mode, registry=registry,
-        fault_plan=fault_plan,
+        fault_plan=fault_plan, hosted=hosted,
     )
 
 
@@ -103,6 +109,7 @@ def churn_scenario(
     pool: TransactionPool | None = None,
     require_compliance: bool = True,
     trace_mode: str = "full",
+    hosted: frozenset[int] | None = None,
 ) -> TobSvdProtocol:
     """Honest validators napping on a randomized, compliance-checked schedule.
 
@@ -126,7 +133,9 @@ def churn_scenario(
     )
     if require_compliance:
         check_schedule_compliance(config, schedule, CorruptionPlan.none(), "churn")
-    return TobSvdProtocol(config, schedule=schedule, pool=pool, trace_mode=trace_mode)
+    return TobSvdProtocol(
+        config, schedule=schedule, pool=pool, trace_mode=trace_mode, hosted=hosted
+    )
 
 
 def late_join_schedule(
@@ -218,6 +227,7 @@ def late_join_scenario(
     pool: TransactionPool | None = None,
     require_compliance: bool = True,
     trace_mode: str = "full",
+    hosted: frozenset[int] | None = None,
 ) -> TobSvdProtocol:
     """A block of validators sleeps through the early views, then joins.
 
@@ -238,7 +248,9 @@ def late_join_scenario(
     schedule = late_join_schedule(n, joiners, join_time)
     if require_compliance:
         check_schedule_compliance(config, schedule, CorruptionPlan.none(), "late-join")
-    return TobSvdProtocol(config, schedule=schedule, pool=pool, trace_mode=trace_mode)
+    return TobSvdProtocol(
+        config, schedule=schedule, pool=pool, trace_mode=trace_mode, hosted=hosted
+    )
 
 
 def bursty_churn_scenario(
@@ -252,6 +264,7 @@ def bursty_churn_scenario(
     pool: TransactionPool | None = None,
     require_compliance: bool = True,
     trace_mode: str = "full",
+    hosted: frozenset[int] | None = None,
 ) -> TobSvdProtocol:
     """Partition-style churn: a fixed group naps together, periodically.
 
@@ -280,7 +293,9 @@ def bursty_churn_scenario(
     )
     if require_compliance:
         check_schedule_compliance(config, schedule, CorruptionPlan.none(), "bursty")
-    return TobSvdProtocol(config, schedule=schedule, pool=pool, trace_mode=trace_mode)
+    return TobSvdProtocol(
+        config, schedule=schedule, pool=pool, trace_mode=trace_mode, hosted=hosted
+    )
 
 
 def compile_checked_fault_plan(

@@ -36,6 +36,15 @@ fan-out (:meth:`repro.faults.FaultPlan.decide`) which recipients it
 keeps, duplicates and spikes, and the kept ones are grouped by delay.  The
 network also owns the run's :class:`~repro.runctx.RunContext`, handed to
 validators so hot dedup sets compare interned int tokens.
+
+The remote leg: a network registers only the validators its world hosts.
+When others live in other processes (a node runtime), ``egress`` is
+called once per broadcast or forward with the envelope and its delivery
+tick, and the runtime ships it to every remote validator except its
+signer; what the runtime receives comes back through :meth:`ingress`,
+which delivers it to the hosted nodes like a local batch.  A simulated
+run hosts every id and has no egress: the remote leg costs it one
+attribute check per send.
 """
 
 from __future__ import annotations
@@ -153,6 +162,9 @@ class Network:
         self.fault_drops = 0
         self.fault_duplicates = 0
         self.fault_spikes = 0
+        #: ``egress(envelope, deliver_tick)``, called at send time for the
+        #: validators this network does not host; None when it hosts all.
+        self.egress = None
         # One intern/lineage context per run; validators read it off the
         # network at construction (docs/ARCHITECTURE.md, "RunContext").
         self.run_context = RunContext()
@@ -171,9 +183,10 @@ class Network:
         self._seen: dict[int, int] = {}
 
     def __getstate__(self):
-        """Snapshot pickling: an empty ``seen`` table is a semantic no-op."""
+        """Snapshot pickling: an empty ``seen`` table is a semantic no-op,
+        and the remote leg belongs to a process, never to a blob."""
 
-        return {**self.__dict__, "_seen": {}}
+        return {**self.__dict__, "_seen": {}, "egress": None}
 
     @property
     def delta(self) -> int:
@@ -261,6 +274,8 @@ class Network:
 
         self._registry.require_valid(envelope.signature, envelope.payload.digest())
         self.stats.sends += 1
+        if self.egress is not None:
+            self.egress(envelope, self._sim._now + self._delta)
         sender = envelope.sender
         bit = self._bit.get(sender, 0)
         if not bit:
@@ -285,6 +300,8 @@ class Network:
         """
 
         self.stats.sends += 1
+        if self.egress is not None:
+            self.egress(envelope, self._sim._now + self._delta)
         bit = self._bit.get
         plan = self._all & ~(bit(forwarder_id, 0) | bit(envelope.signature.signer, 0))
         delay = self._fixed_delay
@@ -366,6 +383,17 @@ class Network:
                     _DELIVERY,
                     partial(self._deliver_mask, mask, envelope, dup & mask),
                 )
+
+    def ingress(self, envelope: Envelope, tick: int) -> None:
+        """Deliver a remote envelope to every hosted node at ``tick``.
+
+        Scheduled at DELIVERY priority like any fan-out batch, so sleep
+        buffering, dedup and accounting are the local path's.
+        """
+
+        self._sim.schedule_callback(
+            tick, _DELIVERY, partial(self._deliver_mask, self._all, envelope)
+        )
 
     # -- delivery ----------------------------------------------------------
 

@@ -1,13 +1,15 @@
 """Real-transport node runtime.
 
-``repro.node`` hosts an *unmodified* protocol validator
-(:class:`~repro.core.tobsvd.TobSvdValidator` or the structural baseline)
-over a real transport between OS processes, with the discrete-event
-simulator kept as the correctness oracle: a loopback deployment on a
-fixed seed reaches decision sequences byte-identical to
-:func:`repro.harness.scenarios.stable_scenario` on the same
-configuration — including runs where a node is SIGKILLed and restarted
-mid-run.  See docs/ARCHITECTURE.md, "Real transport runtime".
+A node runtime is a :class:`~repro.core.world.World` hosting one
+validator id plus a remote leg: the world is the simulator's own
+assembly (validator, network, sleep controller), built by the same
+builder call that, with every id hosted, is the deployment's correctness
+oracle.  A loopback deployment on a fixed seed therefore reaches
+decision sequences byte-identical to the simulator — for the stable,
+churn, late-join and bursty families, the structural baselines, any
+number of crash windows per node, and runs where a node is SIGKILLed
+and restarted mid-run.  See docs/ARCHITECTURE.md, "Real transport
+runtime".
 """
 
 from repro.node.codec import LineageMemo, decode_envelope, encode_envelope

@@ -1,9 +1,17 @@
 """Deployments: wiring node runtimes together, with the sim as oracle.
 
+A deployment is a *world builder*: a scenario builder with its
+parameters bound, called as ``build(hosted=ids)`` for a
+:class:`~repro.core.world.World` that hosts ``ids``.  Each node runtime
+runs ``build(hosted={node_id})`` and the oracle runs ``build(hosted=None)``
+— every id — so the two cannot drift apart.  :func:`stable_builder` is
+the default, the stable family of a config and crash plan; any builder
+taking ``hosted`` deploys (churn, late-join, bursty, the structural
+baselines).
+
 Three entry points:
 
-* :func:`oracle_decisions` — run the simulator on the same
-  configuration (and fault plan) a deployment uses and extract each
+* :func:`oracle_decisions` — run the all-hosted world and extract each
   validator's decision records.  This is the byte-comparison baseline.
 * :func:`run_memory_cluster` — ``n`` runtimes over one
   :class:`~repro.net.transport.MemoryHub`, driven round-robin in one
@@ -11,10 +19,13 @@ Three entry points:
   equivalence tests and the loopback benchmark live here.
 * :func:`run_local_deployment` — ``n`` OS processes over loopback TCP
   (:class:`~repro.net.transport.TcpTransport`), one per node, monitored
-  by the parent.  Supports real process chaos: a node whose fault-plan
-  crash window runs in ``chaos="kill"`` mode SIGKILLs itself at the kill
-  tick and the parent respawns it with ``resumed=True`` (resync +
-  replay, see :mod:`repro.node.runtime`).
+  by the parent.  Supports real process chaos: in ``chaos="kill"`` mode a
+  node with crash windows SIGKILLs itself at the start of its earliest
+  one and the parent respawns it with ``resumed=True`` (resync + replay,
+  see :mod:`repro.node.runtime`).
+
+A fault plan with message faults is refused
+(:class:`~repro.node.runtime.UndeployablePlanError`) before anything runs.
 
 Decision sequences are compared as canonical JSON bytes — the same
 encoding the result store and the wire use — so "byte-identical to the
@@ -30,12 +41,19 @@ import signal
 import socket
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from repro.core.tobsvd import TobSvdConfig
+from repro.core.world import World
 from repro.faults import FaultPlan, FaultSpec
+from repro.harness.scenarios import stable_scenario
 from repro.net.transport import MemoryHub, TcpTransport
 from repro.node.failure import FailureDetector
-from repro.node.runtime import NodeRuntime, decisions_as_records
+from repro.node.runtime import NodeRuntime, decisions_as_records, require_deployable
+
+#: ``build(hosted=ids)`` -> a world hosting ``ids`` (None: every id).
+WorldBuilder = Callable[..., World]
 
 #: Parent-side ceiling on one deployment; generous (CI runners are slow)
 #: but finite, so a wedged fleet fails loudly instead of hanging the job.
@@ -48,24 +66,28 @@ def canonical_decision_bytes(records: list[dict]) -> bytes:
     return json.dumps(records, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def oracle_decisions(
-    config: TobSvdConfig, fault_plan: FaultPlan | None = None
-) -> dict[int, list[dict]]:
-    """Per-validator decision records from the simulator oracle."""
+def stable_builder(config: TobSvdConfig, fault_plan: FaultPlan | None = None) -> WorldBuilder:
+    """The stable family of ``config`` under ``fault_plan``, as a world builder."""
 
-    from repro.harness.scenarios import stable_scenario
-
-    result = stable_scenario(
+    return partial(
+        stable_scenario,
         n=config.n,
         num_views=config.num_views,
         delta=config.delta,
         seed=config.seed,
         trace_mode="off",
         fault_plan=fault_plan,
-    ).run()
+    )
+
+
+def oracle_decisions(build: WorldBuilder) -> dict[int, list[dict]]:
+    """Per-validator decision records of the all-hosted world."""
+
+    world = build(hosted=None)
+    world.run()
     return {
         vid: decisions_as_records(validator.decided)
-        for vid, validator in result.validators.items()
+        for vid, validator in world.validators.items()
     }
 
 
@@ -73,10 +95,16 @@ def compare_to_oracle(
     config: TobSvdConfig,
     node_results: dict[int, dict],
     fault_plan: FaultPlan | None = None,
+    *,
+    build: WorldBuilder | None = None,
 ) -> dict:
-    """Byte-compare deployment decisions against the sim oracle."""
+    """Byte-compare deployment decisions against the sim oracle.
 
-    oracle = oracle_decisions(config, fault_plan)
+    ``build`` is the deployment's builder (default: the stable family of
+    ``config`` under ``fault_plan``).
+    """
+
+    oracle = oracle_decisions(build or stable_builder(config, fault_plan))
     per_node = {
         vid: canonical_decision_bytes(node_results[vid]["decided"])
         == canonical_decision_bytes(oracle[vid])
@@ -96,15 +124,19 @@ def compile_deployment_plan(
     """Compile a fault spec against a deployment's run dimensions.
 
     Same dimensions the sim oracle uses, so both sides interpret one
-    shared crash schedule.
+    shared crash schedule.  Raises
+    :class:`~repro.node.runtime.UndeployablePlanError` for a spec with
+    message faults.
     """
 
-    return spec.compile(
+    plan = spec.compile(
         n=config.n,
         delta=config.delta,
         horizon=config.horizon,
         view_ticks=config.time.view_ticks,
     )
+    require_deployable(plan)
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -115,28 +147,22 @@ def run_memory_cluster(
     config: TobSvdConfig,
     fault_plan: FaultPlan | None = None,
     *,
-    validator_factory=None,
-    horizon: int | None = None,
+    build: WorldBuilder | None = None,
     max_rounds: int = 1_000_000,
 ) -> dict[int, dict]:
     """Run ``n`` runtimes round-robin over one in-process hub.
 
-    Deterministic: no threads, no wall clock.  ``max_rounds`` bounds the
-    driver against a (buggy) barrier deadlock — with every node in one
-    process there is no legitimate way to stall.
+    Node ``i`` runs ``build(hosted={i})`` (default: the stable family of
+    ``config`` under ``fault_plan``).  Deterministic: no threads, no wall
+    clock.  ``max_rounds`` bounds the driver against a (buggy) barrier
+    deadlock — with every node in one process there is no legitimate way
+    to stall.
     """
 
+    build = build or stable_builder(config, fault_plan)
     hub = MemoryHub(range(config.n))
     runtimes = [
-        NodeRuntime(
-            vid,
-            config,
-            hub.transport(vid),
-            fault_plan=fault_plan,
-            chaos="sleep",
-            validator_factory=validator_factory,
-            horizon=horizon,
-        )
+        NodeRuntime(build(hosted=frozenset({vid})), hub.transport(vid))
         for vid in range(config.n)
     ]
     for runtime in runtimes:
@@ -181,7 +207,7 @@ def _node_process_main(
     config: TobSvdConfig,
     addresses: dict[int, tuple[str, int]],
     out_dir: str,
-    fault_spec: FaultSpec | None,
+    build: WorldBuilder,
     chaos: str,
     resumed: bool,
     suspicion_timeout: float,
@@ -189,16 +215,13 @@ def _node_process_main(
 ) -> None:
     """Entry point of one node process; writes its result as JSON."""
 
-    plan = compile_deployment_plan(fault_spec, config) if fault_spec else None
     detector = FailureDetector(
         (peer for peer in addresses if peer != node_id), timeout=suspicion_timeout
     )
     transport = TcpTransport(node_id, addresses, on_heard=detector.heard)
     runtime = NodeRuntime(
-        node_id,
-        config,
+        build(hosted=frozenset({node_id})),
         transport,
-        fault_plan=plan,
         chaos=chaos,
         resumed=resumed,
         detector=detector,
@@ -262,6 +285,7 @@ def run_local_deployment(
     config: TobSvdConfig,
     *,
     fault_spec: FaultSpec | None = None,
+    build: WorldBuilder | None = None,
     chaos: str = "sleep",
     suspicion_timeout: float = 10.0,
     progress_timeout: float = 120.0,
@@ -274,6 +298,8 @@ def run_local_deployment(
     process chaos: the victim SIGKILLs itself at the kill tick and is
     respawned (``resumed=True``) to resync and re-enter the quorum.  The
     parent only monitors and respawns — all pacing is peer-to-peer.
+    ``build`` replaces the default stable family of ``config`` under the
+    compiled ``fault_spec``; the processes are forked, so it need not pickle.
     """
 
     import tempfile
@@ -285,6 +311,7 @@ def run_local_deployment(
         scratch = None
         os.makedirs(out_dir, exist_ok=True)
     plan = compile_deployment_plan(fault_spec, config) if fault_spec else None
+    build = build or stable_builder(config, plan)
     kill_schedule = plan.kill_schedule() if (plan and chaos == "kill") else {}
     addresses = allocate_loopback_ports(config.n)
     ctx = multiprocessing.get_context("fork")
@@ -297,7 +324,7 @@ def run_local_deployment(
                 config,
                 addresses,
                 out_dir,
-                fault_spec,
+                build,
                 chaos,
                 resumed,
                 suspicion_timeout,

@@ -1,12 +1,15 @@
-"""The node runtime: an unmodified validator over a real transport.
+"""The node runtime: a world hosting one validator, plus a remote leg.
 
-One :class:`NodeRuntime` hosts one validator object — the *same*
-:class:`~repro.core.tobsvd.TobSvdValidator` (or structural-baseline
-validator) class the simulator runs, constructed against a private
-single-validator :class:`~repro.sim.simulator.Simulator` and a
-:class:`NodeNetwork` that impersonates the in-sim network's
-validator-facing surface.  The validator cannot tell the difference;
-everything distributed lives out here.
+One :class:`NodeRuntime` runs a :class:`~repro.core.world.World` that
+hosts one validator id, built by the same builder call the deployment's
+sim oracle makes with every id hosted (:mod:`repro.node.deploy`).  The
+validator, its simulator, network, key registry and sleep controller are
+therefore the simulator's own objects, assembled in the simulator's
+order; the network reaches the other validators through its ``egress``
+callback (:meth:`NodeRuntime.transmit`) and hears them through
+:meth:`~repro.net.network.Network.ingress`.  What lives out here is what
+is genuinely distributed: the lockstep barrier, holdback, codec,
+retention, resync, acknowledged frontiers, suspicion and kill chaos.
 
 **Oracle equivalence** (the headline contract, see docs/ARCHITECTURE.md):
 under worst-case synchrony (:class:`~repro.net.delays.UniformDelay`)
@@ -19,32 +22,32 @@ runtime preserves those sets over a real network with three mechanisms:
   so receiving ``done(t)`` proves every envelope the peer sent at ticks
   ``<= t`` has been received.  Tick ``t+1`` only runs once every
   non-degraded peer confirmed ``t``, hence every envelope due at or
-  before ``t+1`` is in the holdback queue before the local simulator
-  executes that tick.
-* **Holdback + local replay.**  Wire copies are deduped by envelope id
-  (:class:`~repro.node.holdback.HoldbackQueue`), scheduled into the
-  local simulator at DELIVERY priority, and the validator's own phase
-  timers fire in exact simulator order — so per-tick execution inside a
-  node is literally the simulator's.
-* **Degradation to asleep.**  A dead, stalled, or planned-crashed peer
-  is simply *not waited for*; it contributes no envelopes, which in the
+  before ``t+1`` is in the holdback queue before the world advances to
+  that tick.
+* **Holdback + ingress.**  Wire copies are deduped by envelope id
+  (:class:`~repro.node.holdback.HoldbackQueue`) and released in
+  ``(tick, id)`` order into the world's network at DELIVERY priority;
+  the controller's events and the validator's phase timers fire in exact
+  simulator order around them.
+* **Degradation to asleep.**  A dead, stalled, or planned-crashed peer is
+  simply *not waited for*; it contributes no envelopes, which in the
   sleepy model is indistinguishable from being asleep.  Suspicion
-  (wall-clock) and crash plans (logical) only ever change *pacing*,
+  (wall-clock) and crash windows (logical) only ever change *pacing*,
   never protocol state, so nondeterministic suspicion timing cannot
   perturb the decision sequence for planned scenarios.
 
-**Crash/rejoin.**  A planned crash window ``[kill, wake)`` runs in one
-of two modes.  Cooperative (``chaos="sleep"``): the validator is put to
-sleep and woken exactly as the sim's sleep controller would, process
-alive throughout.  Real (``chaos="kill"``): the process SIGKILLs itself
-at the kill tick; the respawned process (``resumed=True``) resyncs every
-retained envelope from its peers, replays from genesis with the
-validator asleep over the window (transmission suppressed below the wake
-tick — peers already have those frames), and re-enters the quorum at the
-wake tick with byte-identical state to the sim's crashed-then-woken
-validator.  Every node retains each envelope it sent or accepted at its
-minimum delivery tick, so any single live peer's retention is a
-sufficient resync source.
+**Crash/rejoin.**  Every crash window of the hosted validator is a sleep
+the world's controller installs, as in the simulator.  With
+``chaos="kill"`` the earliest one (:meth:`~repro.faults.FaultPlan.kill_schedule`)
+is also real: the process runs the window's first tick (the validator
+crashes at its start), sends that tick's ``done`` and SIGKILLs itself; the
+respawned process (``resumed=True``) resyncs every retained envelope
+from its peers, replays from genesis (transmission suppressed below the
+wake tick — peers already have those frames), and re-enters the quorum
+at the wake tick with byte-identical state to the sim's
+crashed-then-woken validator.  Every node retains each envelope it sent
+or accepted at its minimum delivery tick, so any single live peer's
+retention is a sufficient resync source.
 
 **Acknowledged frontiers.**  A log crosses the wire as the blocks above
 an anchor the receiver holds (:mod:`repro.node.codec`).  Each ``done(t)``
@@ -61,18 +64,13 @@ from __future__ import annotations
 import os
 import signal
 import time
-from functools import partial
-from typing import Callable
 
 from repro.chain.genesis import GENESIS_BLOCK
 from repro.chain.log import Log
-from repro.chain.transactions import TransactionPool
-from repro.core.tobsvd import ProtocolContext, TobSvdConfig, TobSvdValidator
-from repro.crypto.signatures import KeyRegistry, SignatureError
-from repro.crypto.vrf import VRF
+from repro.core.world import World
+from repro.crypto.signatures import SignatureError
 from repro.faults import FaultPlan
 from repro.net.messages import Envelope
-from repro.net.network import MessageStats
 from repro.net.transport import Transport
 from repro.node.codec import (
     AnchorError,
@@ -84,12 +82,7 @@ from repro.node.codec import (
 )
 from repro.node.failure import FailureDetector
 from repro.node.holdback import HoldbackQueue
-from repro.runctx import RunContext
-from repro.sim.simulator import EventPriority, Simulator
-from repro.tracebus import build_observability
 
-_CONTROL = EventPriority.CONTROL
-_DELIVERY = EventPriority.DELIVERY
 _GENESIS_ID = GENESIS_BLOCK.block_id
 
 #: Retention records per resync frame; keeps any one frame far below
@@ -97,179 +90,66 @@ _GENESIS_ID = GENESIS_BLOCK.block_id
 RESYNC_CHUNK = 500
 
 
-class NodeNetwork:
-    """The in-sim network's validator-facing surface, transport-backed.
+class UndeployablePlanError(ValueError):
+    """A fault plan with message faults was handed to a deployment.
 
-    Mirrors :class:`~repro.net.network.Network` exactly where the
-    validator can observe it: ``broadcast`` verifies the signature and
-    self-delivers synchronously (a validator's own LOG message is always
-    in its V sets); ``forward`` re-transmits without self-delivery and
-    skips the original signer; deliveries to an asleep validator buffer
-    and flush on wake, in arrival order, before same-tick deliveries —
-    the sleep controller's CONTROL-priority contract.
+    Drops, duplicates, delay spikes and partitions are decided per fan-out
+    inside the simulator's network; the remote leg has no injection point
+    for them yet, so a deployment would run fault-free and diverge from its
+    oracle.  Crash windows are deployable.
     """
 
-    def __init__(self, runtime: "NodeRuntime", registry: KeyRegistry, delta: int) -> None:
-        self._runtime = runtime
-        self._registry = registry
-        self._delta = delta
-        self._pending: list[Envelope] = []
-        self.stats = MessageStats()
-        self.run_context = RunContext()
 
-    @property
-    def delta(self) -> int:
-        return self._delta
+def require_deployable(plan: FaultPlan | None) -> None:
+    """Raise :class:`UndeployablePlanError` if ``plan`` has message faults."""
 
-    # -- validator-facing ----------------------------------------------------
-
-    def broadcast(self, envelope: Envelope) -> None:
-        self._registry.require_valid(envelope.signature, envelope.payload.digest())
-        self.stats.sends += 1
-        runtime = self._runtime
-        runtime.transmit(envelope, runtime.tick + self._delta, skip_signer=False)
-        self.deliver_local(envelope)
-
-    def forward(self, forwarder_id: int, envelope: Envelope) -> None:
-        self.stats.sends += 1
-        runtime = self._runtime
-        runtime.transmit(envelope, runtime.tick + self._delta, skip_signer=True)
-
-    # -- runtime-facing ------------------------------------------------------
-
-    def deliver_local(self, envelope: Envelope) -> None:
-        validator = self._runtime.validator
-        if not validator.awake:
-            self._pending.append(envelope)
-            return
-        self.stats.record_delivery(envelope)
-        validator.receive(envelope, self._runtime.sim.now)
-
-    def flush_pending(self) -> int:
-        validator = self._runtime.validator
-        if not validator.awake:
-            raise RuntimeError("flush_pending on an asleep validator")
-        buffered, self._pending = self._pending, []
-        for envelope in buffered:
-            self.stats.record_delivery(envelope)
-            validator.receive(envelope, self._runtime.sim.now)
-        return len(buffered)
-
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-
-def tobsvd_validator_factory(
-    config: TobSvdConfig,
-) -> Callable[[int, object, Simulator, NodeNetwork, object], object]:
-    """Build the default (TOB-SVD) hosted validator for one node."""
-
-    def build(node_id, key, sim, network, bus):
-        context = ProtocolContext(
-            config=config,
-            vrf=VRF(seed=config.seed),
-            pool=TransactionPool(),
-            registry=network._registry,
+    if plan is not None and plan.has_message_faults:
+        raise UndeployablePlanError(
+            "a deployment honours crash windows only; this plan has message "
+            "faults (drop, duplicate or spike rates, or partitions)"
         )
-        return TobSvdValidator(node_id, key, sim, network, bus, context)
-
-    return build
-
-
-def structural_validator_factory(config: TobSvdConfig, structure_name: str):
-    """Host a structural-baseline validator instead of TOB-SVD.
-
-    Returns ``(factory, horizon)``: structural horizons depend on the
-    structure's phase counts, so the runtime needs both.
-    """
-
-    from repro.baselines.structural_tob import StructuralConfig, StructuralContext, StructuralTobValidator
-    from repro.baselines.structure import structure_for
-
-    structure = structure_for(structure_name)
-    sconfig = StructuralConfig(
-        n=config.n, num_views=config.num_views, delta=config.delta, seed=config.seed
-    )
-
-    def build(node_id, key, sim, network, bus):
-        context = StructuralContext(
-            structure=structure,
-            config=sconfig,
-            vrf=VRF(seed=config.seed),
-            pool=TransactionPool(),
-            registry=network._registry,
-        )
-        return StructuralTobValidator(node_id, key, sim, network, bus, context)
-
-    horizon = (
-        config.num_views * structure.view_length_deltas * config.delta
-        + structure.phases_failure_view * config.delta
-    )
-    return build, horizon
 
 
 class NodeRuntime:
-    """One process-local protocol node over a :class:`Transport`."""
+    """One process-local protocol node: a one-id :class:`World` over a :class:`Transport`."""
 
     def __init__(
         self,
-        node_id: int,
-        config: TobSvdConfig,
+        world: World,
         transport: Transport,
         *,
-        fault_plan: FaultPlan | None = None,
         chaos: str = "sleep",
         resumed: bool = False,
         detector: FailureDetector | None = None,
-        trace_mode: str = "off",
-        validator_factory=None,
-        horizon: int | None = None,
         poll_interval: float = 0.02,
         progress_timeout: float = 120.0,
     ) -> None:
         if chaos not in ("sleep", "kill"):
             raise ValueError(f"unknown chaos mode {chaos!r}")
+        if len(world.hosted) != 1:
+            raise ValueError(f"a node runtime hosts one validator, not {sorted(world.hosted)}")
+        (node_id,) = world.hosted
+        if node_id not in world.validators:
+            raise ValueError(f"validator {node_id} is Byzantine; a deployment hosts honest ones")
+        plan = world.fault_plan
+        require_deployable(plan)
         self.node_id = node_id
-        self.config = config
+        self.world = world
+        self.validator = world.validators[node_id]
         self.transport = transport
         self.detector = detector
-        self.horizon = config.horizon if horizon is None else horizon
-        self.registry = KeyRegistry(config.n, seed=config.seed)
-        self.sim = Simulator(seed=config.seed)
-        self.network = NodeNetwork(self, self.registry, config.delta)
-        self.observability = build_observability(trace_mode)
-        factory = (
-            validator_factory
-            if validator_factory is not None
-            else tobsvd_validator_factory(config)
-        )
-        self.validator = factory(
-            node_id,
-            self.registry.key_for(node_id),
-            self.sim,
-            self.network,
-            self.observability.bus,
-        )
+        self.horizon = world.horizon
+        world.network.egress = self.transmit
         self.holdback = HoldbackQueue()
         #: envelope id -> [min deliver tick, Envelope]; the resync source.
         self.retention: dict[str, list] = {}
-        self.fault_plan = fault_plan
-        self.crash_window = (
-            fault_plan.crash_window_for(node_id) if fault_plan is not None else None
-        )
-        self.chaos = chaos
         self.resumed = resumed
-        self._kill_at = (
-            self.crash_window.start
-            if (self.crash_window is not None and chaos == "kill" and not resumed)
-            else None
-        )
+        kill = plan.kill_schedule().get(node_id) if plan is not None and chaos == "kill" else None
+        self._kill_at = kill[0] if kill is not None and not resumed else None
         # A resumed process replays history its peers already hold:
         # transmission below the wake tick is suppressed (retention still
         # records it, so the node can serve future resyncs).
-        self._suppress_below = (
-            self.crash_window.end if (resumed and self.crash_window is not None) else 0
-        )
+        self._suppress_below = kill[1] if kill is not None and resumed else 0
         self.tick = 0
         self.frontier = -1
         self.done: dict[int, int] = {peer: -1 for peer in transport.peer_ids()}
@@ -299,41 +179,22 @@ class NodeRuntime:
         return sum(self.reject_reasons.values())
 
     def start(self) -> None:
-        """Install sleep-window CONTROL events and the validator's timers.
-
-        CONTROL events are scheduled before the validator's TIMER events,
-        mirroring the sim driver's controller-then-setup order; priority
-        ordering then guarantees crash/wake run before same-tick
-        deliveries and timers.
-        """
+        """Install the world's CONTROL and TIMER events; a respawned
+        process also asks every peer for a resync."""
 
         if self._started:
             return
         self._started = True
-        window = self.crash_window
-        if window is not None and (self.chaos == "sleep" or self.resumed):
-            if window.start <= self.horizon:
-                self.sim.schedule_callback(window.start, _CONTROL, self._go_asleep)
-            if window.end <= self.horizon:
-                self.sim.schedule_callback(window.end, _CONTROL, self._wake_up)
-        self.validator.setup()
+        self.world.start()
         if self.resumed:
             for peer in self.transport.peer_ids():
                 self.transport.send(peer, {"t": "resync_req"})
 
-    def _go_asleep(self) -> None:
-        self.validator.awake = False
-        self.validator.on_sleep(self.sim.now)
-
-    def _wake_up(self) -> None:
-        self.validator.awake = True
-        self.network.flush_pending()
-        self.validator.on_wake(self.sim.now)
-
     # -- outbound ------------------------------------------------------------
 
-    def transmit(self, envelope: Envelope, deliver_tick: int, skip_signer: bool) -> None:
-        """Ship one envelope to every peer (called by :class:`NodeNetwork`).
+    def transmit(self, envelope: Envelope, deliver_tick: int) -> None:
+        """Ship one envelope to every peer but its signer (the world
+        network's egress, called once per broadcast or forward).
 
         A carried log is admitted (peers will anchor at this node's own
         proposals) and anchored per peer at the longest prefix that peer
@@ -347,7 +208,7 @@ class NodeRuntime:
         frames: dict[int, dict] = {}
         signer = envelope.signature.signer
         for peer, acked in self.acked.items():
-            if skip_signer and peer == signer:
+            if peer == signer:
                 continue
             height = 1 if log is None else anchor_height(log, acked)
             frame = frames.get(height)
@@ -421,7 +282,7 @@ class NodeRuntime:
             self.reject_reasons["codec"] += 1
             return
         try:
-            self.registry.require_valid(envelope.signature, digest)
+            self.world.registry.require_valid(envelope.signature, digest)
         except (SignatureError, TypeError):
             self.reject_reasons["signature"] += 1
             return
@@ -467,10 +328,21 @@ class NodeRuntime:
     # -- the tick barrier ----------------------------------------------------
 
     def _plan_asleep(self, peer: int, tick: int) -> bool:
-        if self.fault_plan is None:
-            return False
-        window = self.fault_plan.crash_window_for(peer)
-        return window is not None and window.start <= tick < window.end
+        """Is ``peer`` crashed throughout ``tick``, so it sends nothing?
+
+        A window's first tick does not count: a CONTROL event ahead of the
+        crash in that tick's bucket (a scheduled wake flushing the buffer)
+        may still make the peer forward, and a kill-chaos victim sends its
+        ``done`` for that tick before it dies.  Windows of one validator
+        must not overlap, which :meth:`~repro.faults.FaultSpec.compile`
+        guarantees.
+        """
+
+        plan = self.world.fault_plan
+        return plan is not None and any(
+            window.validator == peer and window.start < tick < window.end
+            for window in plan.crash_windows
+        )
 
     def _barrier_ready(self, tick: int) -> bool:
         target = tick - 1
@@ -495,19 +367,19 @@ class NodeRuntime:
         self._drain()
         progressed = False
         while self.tick <= self.horizon and self._barrier_ready(self.tick):
-            if self._kill_at is not None and self.tick == self._kill_at:
-                self._self_kill()
             self._process_tick(self.tick)
+            if self.tick == self._kill_at:
+                self._self_kill()
             self.tick += 1
             progressed = True
             self._drain()
         return progressed
 
     def _process_tick(self, tick: int) -> None:
-        deliver = self.network.deliver_local
+        ingress = self.world.network.ingress
         for _, envelope in self.holdback.due(tick):
-            self.sim.schedule_callback(tick, _DELIVERY, partial(deliver, envelope))
-        self.sim.run_until(tick)
+            ingress(envelope, tick)
+        self.world.advance(tick)
         self.frontier = tick
         done = {"t": "done", "at": tick, "tips": self._fresh_tips}
         self._fresh_tips = []
@@ -554,7 +426,7 @@ class NodeRuntime:
         return decisions_as_records(self.validator.decided)
 
     def result(self) -> dict:
-        stats = self.network.stats
+        stats = self.world.network.stats
         return {
             "node": self.node_id,
             "decided": self.decision_records(),

@@ -24,6 +24,12 @@ plan crashes the isolated group itself).
 CONTROL priority means all of this happens before same-tick deliveries and
 protocol timers, so a validator waking at ``t`` participates fully at ``t``.
 
+The schedule, corruption plan and fault plan always describe the whole
+run; the controller writes events for the validators it manages, which
+are the ones its world hosts.  A node runtime hosting one id therefore
+installs exactly the events the simulator installs for that id — every
+crash window included.
+
 All of it enters the calendar through :meth:`SleepController.install`, a
 windowed pass over ``(after, horizon]`` with one loop per event family:
 the genesis install is ``after = -1``, a horizon extension is a second
@@ -119,7 +125,8 @@ class SleepController:
                     continue  # manage() applied the state at tick 0
                 self._at(time, window, self._wake if becomes_awake else self._sleep, vid)
         for corruption in self._corruption.corruption_events():
-            self._at(corruption.effective_at, window, self._corrupt, corruption.validator)
+            if corruption.validator in self._nodes:
+                self._at(corruption.effective_at, window, self._corrupt, corruption.validator)
         self._install_faults(window)
 
     def adopt_fault_plan(self, plan, horizon: int) -> None:

@@ -47,11 +47,9 @@ everything the prefix installed — which is exactly the order a
 from-genesis run with the same configuration would have produced, since
 every bucket lies wholly inside one install window.
 
-``SNAPSHOT_VERSION`` 6: a validator carries its retired views as
-two-mask tombstones next to its live GA instances and proposal books (a
-v5 blob pickled every view live, minus those a capture-time prune
-dropped, and would thaw without the retirement cursor); v5 blobs are
-refused at the header.
+``SNAPSHOT_VERSION`` 7: a world records the validator ids it hosts and
+its network carries a remote-leg ``egress`` slot, pickled empty (a v6
+blob would thaw without either); v6 blobs are refused at the header.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ from repro.faults import FaultSpec
 if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.core.tobsvd import TobSvdConfig, TobSvdProtocol, TobSvdResult
 
-SNAPSHOT_VERSION = 6
+SNAPSHOT_VERSION = 7
 MAGIC = b"RPROSNAP"
 _HEADER_LEN = struct.Struct(">I")
 

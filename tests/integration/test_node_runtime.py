@@ -3,8 +3,11 @@
 The contract under test (docs/ARCHITECTURE.md, "Real transport
 runtime"): a deployment of **unmodified** validators over a real
 transport produces decision sequences *byte-identical* to the simulator
-running the same configuration — stable runs, planned crash windows,
-and a real SIGKILL-and-respawn rejoin.
+running the same configuration — the stable, churn, late-join and
+bursty families and a structural baseline, any number of planned crash
+windows per node, and a real SIGKILL-and-respawn rejoin.  Every node runs
+the world its deployment's builder returns for ``hosted={node_id}``; the
+oracle is the same builder with every id hosted.
 
 Fast tests drive the deterministic in-process ``MemoryHub`` backend;
 the slow-marked tests run real OS processes over loopback TCP
@@ -13,17 +16,25 @@ the slow-marked tests run real OS processes over loopback TCP
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.core.tobsvd import TobSvdConfig
-from repro.faults import FaultSpec
+from repro.faults import CrashWindow, FaultPlan, FaultSpec
+from repro.harness.scenarios import (
+    bursty_churn_scenario,
+    churn_scenario,
+    late_join_scenario,
+    stable_scenario,
+)
 from repro.node.deploy import (
     compare_to_oracle,
     compile_deployment_plan,
     run_local_deployment,
     run_memory_cluster,
 )
-from repro.node.runtime import decisions_as_records, structural_validator_factory
+from repro.node.runtime import decisions_as_records
 
 N4 = TobSvdConfig(n=4, num_views=4, delta=1, seed=7)
 N8 = TobSvdConfig(n=8, num_views=4, delta=1, seed=11)
@@ -34,8 +45,47 @@ N8 = TobSvdConfig(n=8, num_views=4, delta=1, seed=11)
 CRASH = FaultSpec(seed=3, crash_count=1, crash_view=1, crash_deltas=4)
 
 
-def assert_identical(config, nodes, fault_plan=None):
-    report = compare_to_oracle(config, nodes, fault_plan)
+#: The deployable scenario families: builders that take ``hosted``.
+FAMILIES = {
+    "stable": stable_scenario,
+    "churn": churn_scenario,
+    "late-join": late_join_scenario,
+    "bursty": bursty_churn_scenario,
+}
+
+
+def family_builder(family: str, config: TobSvdConfig):
+    """``family`` at ``config``'s dimensions, tracing off, as a world builder."""
+
+    if family not in FAMILIES:
+        return structural_builder(config, family)
+    return partial(
+        FAMILIES[family],
+        n=config.n,
+        num_views=config.num_views,
+        delta=config.delta,
+        seed=config.seed,
+        trace_mode="off",
+    )
+
+
+def structural_builder(config, name):
+    from repro.baselines import StructuralTob
+    from repro.baselines.structural_tob import StructuralConfig
+    from repro.baselines.structure import structure_for
+
+    return partial(
+        StructuralTob,
+        structure_for(name),
+        StructuralConfig(
+            n=config.n, num_views=config.num_views, delta=config.delta, seed=config.seed
+        ),
+        trace_mode="off",
+    )
+
+
+def assert_identical(config, nodes, fault_plan=None, *, build=None):
+    report = compare_to_oracle(config, nodes, fault_plan, build=build)
     assert report["identical"], report["per_node"]
     assert set(report["per_node"]) == set(range(config.n))
 
@@ -61,6 +111,19 @@ class TestMemoryClusterEquivalence:
         longest = max(len(nodes[vid]["decided"]) for vid in survivors)
         assert len(nodes[victim]["decided"]) < longest
 
+    def test_every_crash_window_of_a_node_is_honoured(self):
+        # Two windows for node 2.  A runtime that installed only the
+        # earliest kept node 2 awake over [12, 16): it decided 5 logs
+        # where the oracle's node 2 decides 3, and all four nodes diverged.
+        config = TobSvdConfig(n=4, num_views=6, delta=1, seed=7)
+        plan = FaultPlan(
+            FaultSpec(), config.n, config.delta, config.horizon,
+            (CrashWindow(2, 4, 8), CrashWindow(2, 12, 16)), (),
+        )
+        nodes = run_memory_cluster(config, plan)
+        assert_identical(config, nodes, plan)
+        assert len(nodes[2]["decided"]) < len(nodes[0]["decided"])
+
     def test_deliveries_happen_over_the_transport(self):
         nodes = run_memory_cluster(N4)
         for result in nodes.values():
@@ -68,19 +131,37 @@ class TestMemoryClusterEquivalence:
             assert result["codec_rejects"] == 0
 
     def test_hosts_structural_baseline_unmodified(self):
-        from repro.baselines import StructuralTob
-        from repro.baselines.structural_tob import StructuralConfig
-        from repro.baselines.structure import structure_for
-
-        factory, horizon = structural_validator_factory(N4, "mmr2")
-        nodes = run_memory_cluster(N4, validator_factory=factory, horizon=horizon)
-        oracle = StructuralTob(
-            structure_for("mmr2"),
-            StructuralConfig(n=N4.n, num_views=N4.num_views, delta=N4.delta, seed=N4.seed),
-        ).run()
+        build = structural_builder(N4, "mmr2")
+        nodes = run_memory_cluster(N4, build=build)
+        oracle = build(hosted=None).run()
         for vid, validator in oracle.validators.items():
             assert nodes[vid]["decided"] == decisions_as_records(validator.decided)
         assert all(result["decided"] for result in nodes.values())
+
+
+class TestDeployedTwins:
+    """Each deployable family, and the structural ``mmr2`` baseline, as a
+    memory cluster: one builder makes every node's world and the oracle."""
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("family", [*FAMILIES, "mmr2"])
+    def test_memory_cluster_is_byte_identical(self, family, n):
+        config = TobSvdConfig(n=n, num_views=6, delta=1, seed=0)
+        build = family_builder(family, config)
+        nodes = run_memory_cluster(config, build=build)
+        assert_identical(config, nodes, build=build)
+        assert all(result["decided"] for result in nodes.values())
+
+    @pytest.mark.parametrize("family", ["churn", "late-join", "bursty"])
+    def test_the_family_really_sleeps_someone(self, family):
+        # A twin of a family whose schedule kept everyone awake would
+        # only re-prove the stable case.
+        world = family_builder(family, TobSvdConfig(n=4, num_views=6, delta=1, seed=0))(
+            hosted=None
+        )
+        assert any(
+            list(world.schedule.transition_times(vid, world.horizon)) for vid in range(4)
+        )
 
 
 @pytest.mark.slow
@@ -108,6 +189,16 @@ class TestLoopbackEquivalence:
     def test_tcp_n8_is_byte_identical(self):
         deployment = run_local_deployment(N8)
         assert_identical(N8, deployment.nodes)
+
+    def test_tcp_churn_moves_the_memory_twins_records(self):
+        config = TobSvdConfig(n=4, num_views=6, delta=1, seed=0)
+        build = family_builder("churn", config)
+        deployment = run_local_deployment(config, build=build)
+        assert_identical(config, deployment.nodes, build=build)
+        memory = run_memory_cluster(config, build=build)
+        for vid, node in deployment.nodes.items():
+            for name in ("sends", "deliveries", "holdback_duplicates"):
+                assert node[name] == memory[vid][name], (vid, name)
 
     def test_sigkill_and_restart_is_byte_identical(self):
         plan = compile_deployment_plan(CRASH, N4)

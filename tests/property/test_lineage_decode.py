@@ -45,6 +45,7 @@ from repro.node.codec import (
     encode_envelope,
     encode_log,
 )
+from repro.node.deploy import stable_builder
 from repro.node.runtime import NodeRuntime
 from tests.conftest import JSON_VALUES
 
@@ -57,7 +58,7 @@ EXAMPLES = settings.default.max_examples
 
 def fresh_node(hub: MemoryHub | None = None, node_id: int = 0) -> NodeRuntime:
     hub = MemoryHub(range(CONFIG.n)) if hub is None else hub
-    return NodeRuntime(node_id, CONFIG, hub.transport(node_id))
+    return NodeRuntime(stable_builder(CONFIG)(hosted={node_id}), hub.transport(node_id))
 
 
 @st.composite

@@ -27,6 +27,7 @@ from repro.net.messages import (
 )
 from repro.net.transport import MemoryHub
 from repro.node.codec import encode_envelope
+from repro.node.deploy import stable_builder
 from repro.node.runtime import NodeRuntime
 from tests.conftest import JSON_VALUES, chain_of
 
@@ -34,8 +35,9 @@ CONFIG = TobSvdConfig(n=4, num_views=2, delta=1, seed=0)
 REGISTRY = KeyRegistry(CONFIG.n, seed=CONFIG.seed)
 
 
-def runtime() -> NodeRuntime:
-    return NodeRuntime(0, CONFIG, MemoryHub(range(CONFIG.n)).transport(0))
+def runtime(hub: MemoryHub | None = None) -> NodeRuntime:
+    hub = MemoryHub(range(CONFIG.n)) if hub is None else hub
+    return NodeRuntime(stable_builder(CONFIG)(hosted={0}), hub.transport(0))
 
 
 def sample_log() -> Log:
@@ -93,7 +95,7 @@ class TestIllTypedFrames:
         bad = copy.deepcopy(WIRES[0])
         bad["sig"]["signer"] = [1]
         hub = MemoryHub(range(CONFIG.n))
-        node = NodeRuntime(0, CONFIG, hub.transport(0))
+        node = runtime(hub)
         sender = hub.transport(1)
         sender.send(0, {"t": "env", "at": 1, "env": bad})
         sender.send(0, {"t": "env", "at": 1, "env": WIRES[0]})

@@ -118,11 +118,12 @@ def test_v2_blobs_are_rejected_not_thawed():
     # calendar callbacks bound to methods that no longer exist); v4
     # payloads pickle ``ScheduledEvent`` handles in the calendar and a run
     # whose controller sits under ``_controller``; v5 payloads hold every
-    # view live and thaw without a retirement cursor.
+    # view live and thaw without a retirement cursor; v6 payloads thaw a
+    # world without hosted ids and a network without an egress slot.
     blob = warm_snapshot(build(n=4), "key", 3).to_bytes()
     current = f'"version":{SNAPSHOT_VERSION}'.encode()
     assert blob.count(current) == 1
-    for stale in (2, 4, 5):
+    for stale in (2, 4, 5, 6):
         with pytest.raises(SnapshotError, match=f"unsupported snapshot version {stale}"):
             Snapshot.from_bytes(blob.replace(current, b'"version":%d' % stale))
 
