@@ -23,9 +23,8 @@ from repro.tracebus import TraceBus
 class ByzantineValidator:
     """Base class for adversary-controlled validator nodes."""
 
-    # Opt out of network-side dedup: Byzantine observers may want every
-    # delivered copy (traffic watching), exactly as before shared fanout.
-    dedup_tokens = None
+    # No ``adopt_holders``: the network visits a Byzantine node with every
+    # delivered copy (traffic watching).
 
     def __init__(
         self,

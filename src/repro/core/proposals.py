@@ -112,7 +112,8 @@ class ProposalBook:
 
 class RetiredProposalBook(Tombstone):
     """A retired :class:`ProposalBook`: the two sender bitmasks plus the
-    stateless admission checks (exact behind the host's dedup set)."""
+    stateless admission checks (exact behind the run's holder table, which
+    drops a resend before it gets here — see :class:`Tombstone`)."""
 
     __slots__ = ("_view", "_vrf")
 
@@ -122,7 +123,7 @@ class RetiredProposalBook(Tombstone):
         self._vrf = vrf
 
     def handle(self, envelope: Envelope) -> bool:
-        """:meth:`ProposalBook.handle` for an envelope the dedup set let through."""
+        """:meth:`ProposalBook.handle` for an envelope the holder table let through."""
 
         payload = envelope.payload
         if not isinstance(payload, ProposalMessage):

@@ -187,8 +187,10 @@ class Tombstone:
     message on record) and ``equivocators`` (two).
 
     Without the messages a resend cannot be told from a second, different
-    one, so :meth:`handle` is exact only behind its host's envelope dedup
-    set, which drops a resend (same payload digest, same signer) first.
+    one, so :meth:`handle` is exact only behind the run's holder table
+    (``Network._holders``, the one envelope dedup record, which keeps
+    every token it ever admitted), which drops a resend (same payload
+    digest, same signer) first.
     """
 
     __slots__ = ("accepted", "equivocators")
@@ -198,7 +200,7 @@ class Tombstone:
         self.equivocators = sum(1 << sender for sender in equivocators)
 
     def handle(self, envelope: Envelope) -> HandleOutcome:
-        """:meth:`LogView.handle` for an envelope the dedup set let through."""
+        """:meth:`LogView.handle` for an envelope the holder table let through."""
 
         if not isinstance(envelope.payload, LogMessage):
             raise TypeError("Tombstone handles LOG messages only")

@@ -179,6 +179,7 @@ class TobSvdValidator(BaseValidator):
             )
             self._retired_books[view] = book.retire()
         self._retired_below = max(self._retired_below, floor)
+        self._context.vrf.retire_below(floor)
 
     def _ga_tip(self, view: int, grade: int) -> Log | None:
         """Highest output of ``GA_view`` at ``grade``; genesis for ``GA_{-1}``.

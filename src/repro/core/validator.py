@@ -74,15 +74,27 @@ class BaseValidator:
         # stability within this validator, which any single context gives.
         ctx = getattr(network, "run_context", None)
         self._run_ctx = ctx if ctx is not None else RunContext()
-        self._seen_envelopes: set[int] = set()
-        # Shared-dedup contract with Network._deliver_mask: the network
-        # tests/updates this set directly, only calls receive_new for
-        # genuinely new content, and stops visiting this validator for an
-        # envelope once it has seen the token here.  Direct deliveries
-        # (self-delivery, sleep flush, targeted sends) still come through
-        # receive, which dedups against the same set.  In exchange
-        # ``awake`` may only change through Network.set_awake.
-        self.dedup_tokens = self._seen_envelopes
+        # Dedup record: token -> mask of holders, tested at ``_holder_bit``.
+        # Private until a mask network registers this validator and shares
+        # its run-wide table (adopt_holders); a network that never does
+        # (the per-recipient test oracle) leaves dedup here.
+        self._holders: dict[int, int] = {}
+        self._holder_bit = 1
+
+    def adopt_holders(self, table: dict[int, int], bit: int) -> None:
+        """Dedup against the network's holder table, as ``bit``.
+
+        The shared-dedup contract with ``Network._deliver_mask``: the
+        network tests and sets this bit itself and calls ``receive_new``
+        only for content the validator does not hold; direct deliveries
+        (self-delivery, sleep flush, targeted sends) come through
+        :meth:`receive`, which tests and sets the same bit.  In exchange
+        ``awake`` may only change through ``Network.set_awake``.  Called at
+        registration, before the validator has received anything.
+        """
+
+        self._holders = table
+        self._holder_bit = bit
 
     # -- messaging -----------------------------------------------------------
 
@@ -119,16 +131,18 @@ class BaseValidator:
             token = pin["_token"]
         else:
             token = ctx.envelope_token(envelope)
-        if token in self._seen_envelopes:
+        holders = self._holders
+        held = holders.get(token, 0)
+        if held & self._holder_bit:
             return
-        self._seen_envelopes.add(token)
+        holders[token] = held | self._holder_bit
         self.handle_envelope(envelope, time)
 
     def receive_new(self, envelope: Envelope, time: int) -> None:
-        """Post-dedup network entry point (see ``dedup_tokens``).
+        """Post-dedup network entry point (see :meth:`adopt_holders`).
 
-        The network has already recorded the envelope's token in this
-        validator's seen-set; only the corruption guard remains.
+        The network has already set this validator's bit for the
+        envelope's token; only the corruption guard remains.
         """
 
         if not self.corrupted:

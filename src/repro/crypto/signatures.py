@@ -74,14 +74,18 @@ class KeyRegistry:
         self._secrets = {
             vid: stable_digest(("secret", seed, vid)) for vid in range(n)
         }
-        # (signer, payload_digest) -> expected tag.  The expected tag is a
-        # pure function of the registry's secret and the digest, so repeated
-        # verifications of the same content (every broadcast re-verifies the
-        # sender's envelope) skip the MAC recomputation.  Bounded: cleared
-        # wholesale if it ever grows past _TAG_CACHE_LIMIT entries.
+        # (signer, payload_digest) -> expected tag, a pure function of the
+        # secret and the digest.  An honest run verifies each envelope
+        # once (at broadcast), so it never hits; the reuse it serves is
+        # short-range — a Byzantine ``send_direct`` fan-out verifying one
+        # envelope per recipient, or a node runtime decoding forwarded
+        # copies of one envelope within a tick.  So it keeps a recent
+        # window only: two generations of _TAG_GENERATION entries, the
+        # older one dropped whenever the newer one fills.
         self._tag_cache: dict[tuple[int, str], str] = {}
+        self._tag_cache_old: dict[tuple[int, str], str] = {}
 
-    _TAG_CACHE_LIMIT = 65536
+    _TAG_GENERATION = 512
 
     @property
     def n(self) -> int:
@@ -103,12 +107,16 @@ class KeyRegistry:
         if signature.payload_digest != payload_digest:
             return False
         cache_key = (signature.signer, payload_digest)
-        expected = self._tag_cache.get(cache_key)
+        cache = self._tag_cache
+        expected = cache.get(cache_key)
         if expected is None:
-            expected = stable_digest(("sig", secret, payload_digest))
-            if len(self._tag_cache) >= self._TAG_CACHE_LIMIT:
-                self._tag_cache.clear()
-            self._tag_cache[cache_key] = expected
+            expected = self._tag_cache_old.get(cache_key)
+            if expected is None:
+                expected = stable_digest(("sig", secret, payload_digest))
+            if len(cache) >= self._TAG_GENERATION:
+                self._tag_cache_old = cache
+                self._tag_cache = cache = {}
+            cache[cache_key] = expected
         return signature.tag == expected
 
     def require_valid(self, signature: Signature, payload_digest: str) -> None:

@@ -46,32 +46,45 @@ class VrfOutput:
 class VRF:
     """A per-system VRF keyed by a global seed.
 
-    Evaluations are memoised per ``(validator_id, view)``: the function
-    is deterministic in the seed, and every proposal a validator accepts
+    Evaluations are memoised per view and validator: the function is
+    deterministic in the seed, and every proposal a validator accepts
     triggers a verification, so the n² verifications per view collapse
     to dict lookups.  The memo is instance-scoped (the VRF lives in one
-    run's ``ProtocolContext``), so it dies with the run.
+    run's ``ProtocolContext``) and keeps only live views: the protocol
+    moves :meth:`retire_below` with its view-retirement floor, and an
+    evaluation below the floor recomputes the same pure value without
+    memoising it.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
-        self._memo: dict[tuple[int, int], VrfOutput] = {}
+        self._memo: dict[int, dict[int, VrfOutput]] = {}
+        self._floor = 0
 
     def evaluate(self, validator_id: int, view: int) -> VrfOutput:
         """Evaluate the VRF of ``validator_id`` for ``view``."""
 
-        key = (validator_id, view)
-        cached = self._memo.get(key)
-        if cached is None:
-            proof = stable_digest(("vrf", self._seed, validator_id, view))
-            cached = VrfOutput(
-                validator_id=validator_id,
-                view=view,
-                value=digest_to_unit_float(proof),
-                proof=proof,
-            )
-            self._memo[key] = cached
-        return cached
+        outputs = self._memo.get(view)
+        if outputs is not None:
+            cached = outputs.get(validator_id)
+            if cached is not None:
+                return cached
+        proof = stable_digest(("vrf", self._seed, validator_id, view))
+        output = VrfOutput(validator_id, view, digest_to_unit_float(proof), proof)
+        if view >= self._floor:
+            if outputs is None:
+                self._memo[view] = outputs = {}
+            outputs[validator_id] = output
+        return output
+
+    def retire_below(self, floor: int) -> None:
+        """Forget every view below ``floor`` (a cursor: it never moves back)."""
+
+        if floor > self._floor:
+            self._floor = floor
+            memo = self._memo
+            for view in [view for view in memo if view < floor]:
+                del memo[view]
 
     def verify(self, output: VrfOutput) -> bool:
         """Verify a claimed VRF output."""

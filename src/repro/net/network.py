@@ -27,15 +27,24 @@ order) and a recipient plan is an ``int`` mask.  When the delay policy
 declares a recipient-independent delay (a ``fixed_delay`` attribute, e.g.
 on :class:`~repro.net.delays.UniformDelay`), the whole fanout collapses to
 at most two scheduled events — no per-recipient policy call, list
-building, or allocation.  At delivery the network skips every recipient it
-*knows* already holds the envelope (a per-token ``seen`` mask), so the
-duplicate copies of an echo storm cost a dict probe and a few bit-ops per
-batch; accounting is applied once per batch with identical totals.
+building, or allocation.
+
+Dedup: the network's *holder table* maps an interned envelope token to
+the mask of dedup-capable nodes that hold it, and it is the run's only
+dedup record — no validator keeps a set of its own.  At delivery the
+network hands a batch's envelope only to the awake, dedup-capable bits
+of ``plan & ~holders[token]`` and sets those bits, so the duplicate
+copies of an echo storm cost a dict probe and a few bit-ops per batch;
+a validator's direct entry point (self-delivery, sleep flush,
+``send_direct``) tests and sets its own bit in the same table.  The
+table is run state: it is pickled with the network, and snapshot forks
+resume with it.  Accounting is applied once per batch with identical
+totals.
 Message faults work on the same masks: a live fault plan is asked once per
 fan-out (:meth:`repro.faults.FaultPlan.decide`) which recipients it
 keeps, duplicates and spikes, and the kept ones are grouped by delay.  The
-network also owns the run's :class:`~repro.runctx.RunContext`, handed to
-validators so hot dedup sets compare interned int tokens.
+network also owns the run's :class:`~repro.runctx.RunContext`, whose
+interned int tokens key the holder table.
 
 The remote leg: a network registers only the validators its world hosts.
 When others live in other processes (a node runtime), ``egress`` is
@@ -66,14 +75,16 @@ _DELIVERY = EventPriority.DELIVERY
 class NetworkNode(Protocol):
     """What the network needs from a validator object.
 
-    A node may additionally expose ``dedup_tokens`` (a mutable,
-    grow-only set of interned envelope tokens, read once at
-    :meth:`Network.register`) together with ``receive_new(envelope,
-    time)``: the network then performs content dedup on the node's
-    behalf, and once it has itself seen the node hold a token while
-    awake it stops visiting the node for that envelope — duplicate
-    copies are counted, never delivered.  Nodes without the attribute
-    (or with it set to ``None``, e.g. Byzantine observers that want every
+    A node may additionally expose ``adopt_holders(table, bit)``
+    together with ``receive_new(envelope, time)``.  :meth:`Network.register`
+    then hands the node the network's holder table (interned envelope
+    token → mask of the nodes holding it) and the node's bit in it, and
+    performs content dedup on the node's behalf: ``receive_new`` is only
+    called for an envelope whose token the node's bit does not hold yet,
+    and duplicate copies are counted, never delivered.  The node's own
+    :meth:`receive` (self-delivery, sleep flush, targeted sends) must
+    test and set the same bit, so one table is the only dedup record.
+    Nodes without ``adopt_holders`` (Byzantine observers that want every
     copy) are visited for every delivery via plain :meth:`receive`.
 
     ``awake`` stays a plain attribute.  For a dedup-capable node it may
@@ -169,24 +180,23 @@ class Network:
         # network at construction (docs/ARCHITECTURE.md, "RunContext").
         self.run_context = RunContext()
         # Mask plans: the node registered i-th owns bit i, ``_order[i]`` is
-        # its ``(node, dedup_set)`` pair, ``_ids[i]`` its id.  ``_seen[token]``
-        # holds the dedup-capable nodes this network itself visited, awake, for
-        # that envelope; ``_always`` the nodes without ``dedup_tokens``.
-        # All of it is an accelerator — the nodes' own dedup sets and
-        # ``awake`` flags stay authoritative, and "unknown" means "visit".
+        # its ``(node, dedup_capable)`` pair, ``_ids[i]`` its id, and
+        # ``_always`` holds the nodes without ``adopt_holders``.
+        # ``_holders[token]`` is the mask of dedup-capable nodes holding that
+        # envelope: the run's one dedup table, shared with every such node.
         self._order: list[tuple] = []
         self._bit: dict[int, int] = {}
         self._ids: tuple[int, ...] = ()
         self._all = 0
         self._asleep = 0
         self._always = 0
-        self._seen: dict[int, int] = {}
+        self._holders: dict[int, int] = {}
 
     def __getstate__(self):
-        """Snapshot pickling: an empty ``seen`` table is a semantic no-op,
-        and the remote leg belongs to a process, never to a blob."""
+        """Snapshot pickling: the remote leg belongs to a process, never
+        to a blob (the holder table is state and travels)."""
 
-        return {**self.__dict__, "_seen": {}, "egress": None}
+        return {**self.__dict__, "egress": None}
 
     @property
     def delta(self) -> int:
@@ -203,14 +213,16 @@ class Network:
         if vid in self._nodes:
             raise ValueError(f"validator {vid} already registered")
         bit = 1 << len(self._order)
-        dedup = getattr(node, "dedup_tokens", None)
+        adopt = getattr(node, "adopt_holders", None)
         self._nodes[vid] = node
         self._bit[vid] = bit
         self._ids += (vid,)
-        self._order.append((node, dedup))
+        self._order.append((node, adopt is not None))
         self._all |= bit
-        if dedup is None:
+        if adopt is None:
             self._always |= bit
+        else:
+            adopt(self._holders, bit)
         if not node.awake:
             self._asleep |= bit
 
@@ -232,7 +244,7 @@ class Network:
         ``awake`` flag was changed behind :meth:`set_awake`'s back."""
 
         for index, (node, dedup) in enumerate(self._order):
-            if dedup is not None and node.awake == bool(self._asleep >> index & 1):
+            if dedup and node.awake == bool(self._asleep >> index & 1):
                 raise AwakeMaskError(
                     f"validator {node.validator_id}: awake={node.awake} but the "
                     f"network's asleep mask says otherwise (use Network.set_awake)"
@@ -398,8 +410,8 @@ class Network:
     # -- delivery ----------------------------------------------------------
 
     def _recipients(self, todo: int, dup: int) -> list:
-        """``(node, dedup_set)`` pairs for the bits of ``todo``, lowest first;
-        a ``dup`` bit yields its pair twice, in place."""
+        """``(node, dedup_capable)`` pairs for the bits of ``todo``, lowest
+        first; a ``dup`` bit yields its pair twice, in place."""
 
         order = self._order
         pairs: list = []
@@ -416,9 +428,12 @@ class Network:
         """Deliver one shared envelope to the nodes in ``plan``.
 
         Only recipients that may still need the envelope are touched:
-        ``todo`` drops every dedup-capable, awake node already seen holding
-        it.  Skipped copies are counted like delivered ones, and accounting
-        is aggregated over the batch (identical totals to per-recipient
+        ``todo`` drops every awake, dedup-capable node whose bit the holder
+        table already has for it, and the awake, dedup-capable rest get
+        their bits set before anyone handles it.  Asleep nodes buffer
+        every copy and always-visited nodes see every copy.  Skipped
+        copies are counted like delivered ones, and accounting is
+        aggregated over the batch (identical totals to per-recipient
         recording — counters are only read between events).
         """
 
@@ -433,11 +448,15 @@ class Network:
                 token = pin["_token"]
             else:
                 token = ctx.envelope_token(envelope)
-            known = self._seen.get(token, 0)
-            todo &= ~known | visit
+            held = self._holders.get(token, 0)
+            todo &= ~held | visit
+            fresh = todo & ~visit
+            if fresh:
+                self._holders[token] = held | fresh
         delivered = plan.bit_count() + dup.bit_count()
         if todo:
             now = self._sim._now
+            dup &= visit  # a second copy to a fresh holder is a no-op
             low = todo & -todo
             if dup or (todo + low) & todo:
                 pairs = self._recipients(todo, dup)
@@ -446,21 +465,17 @@ class Network:
                 # delivery, a lone observer or sleeper): a plain slice of
                 # the registration order beats walking bits.
                 pairs = self._order[low.bit_length() - 1 : todo.bit_length()]
-            for node, seen in pairs:
+            for node, dedup in pairs:
                 if not node.awake:
                     delivered -= 1
                     if self._buffer_while_asleep:
                         self._pending[node.validator_id].append(envelope)
                     else:
                         self.dropped_while_asleep += 1
-                elif seen is None:
-                    node.receive(envelope, now)
-                elif token not in seen:
-                    seen.add(token)
+                elif dedup:
                     node.receive_new(envelope, now)
-            fresh = todo & ~visit
-            if fresh:
-                self._seen[token] = known | fresh
+                else:
+                    node.receive(envelope, now)
         if delivered:
             # record_deliveries, inlined for the per-batch hot path
             stats = self.stats

@@ -47,9 +47,12 @@ everything the prefix installed — which is exactly the order a
 from-genesis run with the same configuration would have produced, since
 every bucket lies wholly inside one install window.
 
-``SNAPSHOT_VERSION`` 7: a world records the validator ids it hosts and
-its network carries a remote-leg ``egress`` slot, pickled empty (a v6
-blob would thaw without either); v6 blobs are refused at the header.
+``SNAPSHOT_VERSION`` 8: the network's holder table (envelope token →
+mask of the validators holding it) is the run's only dedup record, so it
+travels in the blob and validators share it after thaw.  A v7 blob
+carries an empty table beside per-validator dedup sets this build no
+longer reads — it would thaw into a run that re-handles every envelope —
+so v7 blobs are refused at the header.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from repro.faults import FaultSpec
 if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.core.tobsvd import TobSvdConfig, TobSvdProtocol, TobSvdResult
 
-SNAPSHOT_VERSION = 7
+SNAPSHOT_VERSION = 8
 MAGIC = b"RPROSNAP"
 _HEADER_LEN = struct.Struct(">I")
 

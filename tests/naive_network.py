@@ -5,9 +5,10 @@ scheduled events (one per send segment and distinct delay, so
 ``events_processed`` is comparable), but nothing else is shared or
 batched: a send is a plain list of recipient ids with a duplicated copy
 listed twice, every copy is handed to ``node.receive`` one recipient at a
-time — dedup-capable validators dedup for themselves there — and every
-delivery is recorded on its own.  No masks, no ``seen`` table, no
-``dedup_tokens`` shortcut, no aggregated accounting.
+time — dedup-capable validators dedup for themselves there, against the
+private holder table they keep when no network shares one — and every
+delivery is recorded on its own.  No masks, no shared holder table, no
+``receive_new`` shortcut, no aggregated accounting.
 """
 
 from __future__ import annotations

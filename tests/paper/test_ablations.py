@@ -1,6 +1,6 @@
-"""Ablation benchmarks (EXPERIMENTS.md A1-A7).
+"""Ablations (EXPERIMENTS.md A1-A7).
 
-Each bench exercises one analysis-section claim: the GA properties, the
+Each test exercises one analysis-section claim: the GA properties, the
 safety margin at the resilience boundary, good-leader probability, the
 necessity of mild adaptivity, the stabilization period, the equivocator
 time-shift, and Lemma 4's wake-up-to-decision bound.
@@ -27,7 +27,7 @@ VIEW = 4 * DELTA
 
 
 class TestAblations:
-    def test_ablation_ga_properties(self, benchmark):
+    def test_ablation_ga_properties(self):
         """A1: GA-3 properties under split equivocation, many seeds."""
 
         def run():
@@ -52,11 +52,11 @@ class TestAblations:
                 failures += bool(violations)
             return failures
 
-        failures = benchmark.pedantic(run, rounds=1)
+        failures = run()
         print(f"\nA1 — GA-3 property violations across 8 adversarial seeds: {failures}")
         assert failures == 0
 
-    def test_ablation_safety_margin(self, benchmark):
+    def test_ablation_safety_margin(self):
         """A2: safety holds right up to the resilience boundary f = ceil(n/2)-1."""
 
         def run():
@@ -70,14 +70,14 @@ class TestAblations:
                 )
             return outcomes
 
-        outcomes = benchmark.pedantic(run, rounds=1)
+        outcomes = run()
         print("\nA2 — safety at the resilience boundary:")
         for (n, f), (safe, blocks) in outcomes.items():
             print(f"  n={n:>2} f={f}: safe={safe} blocks={blocks}/10")
             assert safe
             assert blocks > 0
 
-    def test_ablation_good_leader_probability(self, benchmark):
+    def test_ablation_good_leader_probability(self):
         """A3 (Lemma 2): a view has a good leader with probability > 1/2."""
 
         def run():
@@ -91,12 +91,12 @@ class TestAblations:
             )
             return good / 400
 
-        p_good = benchmark.pedantic(run, rounds=1)
+        p_good = run()
         print(f"\nA3 — empirical good-leader probability at f/n = 0.4: {p_good:.3f}")
         assert p_good > 0.5
         assert p_good == pytest.approx(0.6, abs=0.08)
 
-    def test_ablation_mild_adaptivity(self, benchmark):
+    def test_ablation_mild_adaptivity(self):
         """A4: fully-adaptive leader corruption stalls; mildly-adaptive doesn't."""
 
         def run():
@@ -113,7 +113,7 @@ class TestAblations:
                 )
             return results
 
-        results = benchmark.pedantic(run, rounds=1)
+        results = run()
         print("\nA4 — adaptive leader corruption (2 attacked views of 6):")
         print(f"  fully adaptive (outside model): blocks={results[False][0]}/6")
         print(f"  mildly adaptive (paper model):  blocks={results[True][0]}/6")
@@ -121,7 +121,7 @@ class TestAblations:
         assert results[True][0] == 6  # no view stalled
         assert results[False][1] and results[True][1]  # safety in both
 
-    def test_ablation_stabilization(self, benchmark):
+    def test_ablation_stabilization(self):
         """A5: a validator must be awake 2Δ before voting (T_s = 2Δ).
 
         A validator awake only from ``t_v`` onward has no GA_{v-1}
@@ -144,7 +144,7 @@ class TestAblations:
                 votes[label] = min(vote_times) if vote_times else None
             return votes
 
-        votes = benchmark.pedantic(run, rounds=1)
+        votes = run()
         print("\nA5 — first vote time after waking (view 3 starts at "
               f"t={3 * VIEW}):")
         for label, t in votes.items():
@@ -154,7 +154,7 @@ class TestAblations:
         assert votes["2-deltas-early"] == 3 * VIEW + DELTA
         assert votes["at-view-start"] == 4 * VIEW + DELTA
 
-    def test_ablation_equivocation_intersection(self, benchmark):
+    def test_ablation_equivocation_intersection(self):
         """A6: the naive GA (no V^snap ∩ V^live) loses Graded Delivery."""
 
         from tests.integration.test_ablation_naive_ga import _run
@@ -170,12 +170,12 @@ class TestAblations:
                 len(graded_delivery_violations(fixed_result.outputs, fixed_result.honest_ids, 2)),
             )
 
-        naive, fixed = benchmark.pedantic(run, rounds=1)
+        naive, fixed = run()
         print(f"\nA6 — Graded Delivery violations: naive GA-2 = {naive}, paper GA-2 = {fixed}")
         assert naive > 0
         assert fixed == 0
 
-    def test_ablation_aggregation_pricing(self, benchmark):
+    def test_ablation_aggregation_pricing(self):
         """A8 (§1): with 2Δ voting phases, the single-vote design dominates.
 
         Nominally TOB-SVD's best case (6Δ) trails MMR2's (4Δ); pricing
@@ -186,14 +186,14 @@ class TestAblations:
 
         from repro.analysis.aggregation import aggregation_table, render_aggregation_table
 
-        table = benchmark(aggregation_table)
+        table = aggregation_table()
         print("\nA8 — " + render_aggregation_table())
         assert table["tobsvd"].best_case_deltas == table["mmr2"].best_case_deltas == 7
         assert table["tobsvd"].speedup_vs(table["mmr2"]) > 2.0
         for rival in ("mr", "mmr2", "gl"):
             assert table["tobsvd"].expected_deltas < table[rival].expected_deltas
 
-    def test_ablation_recovery_protocol(self, benchmark):
+    def test_ablation_recovery_protocol(self):
         """A9 (§2): the RECOVERY protocol on a lossy-while-asleep network.
 
         Without recovery, a waking validator cannot reconstruct the
@@ -229,7 +229,7 @@ class TestAblations:
                 )
             return outcomes
 
-        outcomes = benchmark.pedantic(run, rounds=1)
+        outcomes = run()
         with_views, with_safe, _ = outcomes[True]
         without_views, without_safe, dropped = outcomes[False]
         print(f"\nA9 — joiner wakes mid-view-2 on a lossy network ({dropped} "
@@ -239,7 +239,7 @@ class TestAblations:
         assert 3 in with_views and 3 not in without_views
         assert with_safe and without_safe
 
-    def test_ablation_ebb_and_flow(self, benchmark):
+    def test_ablation_ebb_and_flow(self):
         """A10 (§1): TOB-SVD composes with a finality gadget.
 
         Availability keeps growing through a < 2/3-participation dip while
@@ -264,9 +264,7 @@ class TestAblations:
             )
             return mid, available_mid, len(timeline.finalized) - 1, timeline.is_monotone()
 
-        finalized_mid, available_mid, finalized_end, monotone = benchmark.pedantic(
-            run, rounds=1
-        )
+        finalized_mid, available_mid, finalized_end, monotone = run()
         print(f"\nA10 — ebb-and-flow through a participation dip:")
         print(f"  during the dip:  available={available_mid} blocks, "
               f"finalized={finalized_mid} (frozen)")
@@ -276,7 +274,7 @@ class TestAblations:
         assert finalized_end >= 8  # finality caught up after GAT
         assert monotone
 
-    def test_ablation_wakeup_decision(self, benchmark):
+    def test_ablation_wakeup_decision(self):
         """A7 (Lemma 4): an honest validator awake 8Δ decides."""
 
         def run():
@@ -293,7 +291,7 @@ class TestAblations:
                 latencies.append((first - join) / DELTA if first is not None else None)
             return latencies
 
-        latencies = benchmark.pedantic(run, rounds=1)
+        latencies = run()
         print(f"\nA7 — wake-to-first-decision latency (Δ): {latencies}")
         for latency in latencies:
             assert latency is not None

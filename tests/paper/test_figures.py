@@ -1,7 +1,7 @@
-"""Figure regeneration benchmarks.
+"""Figure regeneration.
 
 The paper's figures are protocol listings (Figures 1, 2, 4) and the
-view/GA overlap timeline (Figure 3).  Each bench executes the figure's
+view/GA overlap timeline (Figure 3).  Each test executes the figure's
 protocol on the simulator, prints the regenerated artifact (phase trace or
 timeline), and asserts the documented behaviour.
 """
@@ -37,7 +37,7 @@ def _phase_trace(trace, protocol: str) -> list[str]:
 
 
 class TestFigures:
-    def test_figure1_ga2_execution(self, benchmark):
+    def test_figure1_ga2_execution(self):
         """Figure 1: the k=2 GA schedule — input@0, out0@2Δ, out1@3Δ."""
 
         base = Log.genesis().append_block([], proposer=0, view=0)
@@ -47,7 +47,7 @@ class TestFigures:
                 GA2_SPEC, n=5, delta=DELTA, inputs={i: base for i in range(5)}
             )
 
-        result = benchmark.pedantic(run, rounds=1)
+        result = run()
         print("\nFigure 1 — GA k=2 execution trace:")
         for line in _phase_trace(result.trace, "ga2")[:20]:
             print("  " + line)
@@ -60,7 +60,7 @@ class TestFigures:
         for vid in range(5):
             assert base in result.outputs[vid][1]
 
-    def test_figure2_ga3_execution(self, benchmark):
+    def test_figure2_ga3_execution(self):
         """Figure 2: the k=3 GA — out0@3Δ, out1@4Δ, out2@5Δ, nested quorums."""
 
         base = Log.genesis().append_block([], proposer=0, view=0)
@@ -70,7 +70,7 @@ class TestFigures:
                 GA3_SPEC, n=5, delta=DELTA, inputs={i: base for i in range(5)}
             )
 
-        result = benchmark.pedantic(run, rounds=1)
+        result = run()
         print("\nFigure 2 — GA k=3 execution trace:")
         for line in _phase_trace(result.trace, "ga3")[:25]:
             print("  " + line)
@@ -80,7 +80,7 @@ class TestFigures:
         for vid in range(5):
             assert base in result.outputs[vid][2]
 
-    def test_figure3_timeline(self, benchmark):
+    def test_figure3_timeline(self):
         """Figure 3: the view/GA overlap diagram, from a real trace."""
 
         def run():
@@ -89,7 +89,7 @@ class TestFigures:
             protocol = stable_scenario(n=8, num_views=6, delta=DELTA, seed=0, pool=pool)
             return protocol.run()
 
-        result = benchmark.pedantic(run, rounds=1)
+        result = run()
         text = render_timeline(result, center_view=2)
         print("\nFigure 3 — regenerated timeline:\n")
         print(text)
@@ -97,7 +97,7 @@ class TestFigures:
         for view in (1, 2, 3):
             assert check_view_alignment(result, view).aligned
 
-    def test_figure4_tobsvd_execution(self, benchmark):
+    def test_figure4_tobsvd_execution(self):
         """Figure 4: end-to-end TOB-SVD — one decision per view, safety."""
 
         def run():
@@ -107,7 +107,7 @@ class TestFigures:
             protocol = stable_scenario(n=8, num_views=6, delta=DELTA, seed=1, pool=pool)
             return protocol.run()
 
-        result = benchmark.pedantic(run, rounds=1)
+        result = run()
         print("\nFigure 4 — TOB-SVD decisions:")
         seen = set()
         for event in result.trace.iter_decisions_sorted():

@@ -1,4 +1,4 @@
-"""Table 1 regeneration benchmarks — one test per row.
+"""Table 1 regeneration — one test per row.
 
 Each test (a) re-measures its row from actual simulation runs, (b) prints
 the paper / analytic-model / measured values side by side, and (c) asserts
@@ -7,7 +7,8 @@ what factor — matches the published table.  Absolute measured values match
 the model at the *empirical* leader-failure rate; the printed output also
 shows the values normalised to the paper's idealised p = 1/2.
 
-Run with ``pytest benchmarks/ --benchmark-only``.
+Run with ``PYTHONPATH=src python -m pytest -s tests/paper/test_table1.py``
+(``-s`` shows the printed rows).
 """
 
 from __future__ import annotations
@@ -50,13 +51,13 @@ def structural_rows():
 
 
 class TestTable1:
-    def test_table1_resilience(self, benchmark):
+    def test_table1_resilience(self):
         """Row 1: adversarial resilience (analytic + boundary check)."""
 
         def run():
             return {n: max_tolerable_byzantine(n) for n in (10, 11, 100)}
 
-        bounds = benchmark(run)
+        bounds = run()
         assert bounds[10] == 4 and bounds[11] == 5 and bounds[100] == 49
         print("\nRow 1 — adversarial resilience:")
         for name in TABLE1_ORDER:
@@ -66,12 +67,10 @@ class TestTable1:
                 f"  model={structure.resilience}"
             )
 
-    def test_table1_best_case_latency(self, benchmark, structural_rows):
+    def test_table1_best_case_latency(self, structural_rows):
         """Row 2: best-case latency in Δ units."""
 
-        measurement = benchmark.pedantic(
-            measure_best_case_latency, kwargs={"n": 8, "delta": 4}, rounds=1
-        )
+        measurement = measure_best_case_latency(n=8, delta=4)
         assert measurement.mean_deltas == pytest.approx(6.0)
         print("\nRow 2 — best-case latency (Δ):")
         rows = {"tobsvd": measurement.min_deltas}
@@ -83,13 +82,11 @@ class TestTable1:
             )
             assert rows[name] == pytest.approx(PAPER_TABLE1[name]["best_case"])
 
-    def test_table1_expected_latency(self, benchmark, structural_rows):
+    def test_table1_expected_latency(self, structural_rows):
         """Row 3: expected latency under the bad-leader adversary."""
 
-        measurement = benchmark.pedantic(
-            measure_expected_latency,
-            kwargs={"n": 10, "f": 4, "num_views": 20, "delta": 2, "seeds": (0, 1)},
-            rounds=1,
+        measurement = measure_expected_latency(
+            n=10, f=4, num_views=20, delta=2, seeds=(0, 1)
         )
         print("\nRow 3 — expected latency (Δ), measured at empirical q, "
               "normalised to p_good = 1/2:")
@@ -129,13 +126,11 @@ class TestTable1:
         for rival in ("mr", "gl"):
             assert measurement.mean_deltas < structural_rows[rival].expected_deltas
 
-    def test_table1_transaction_expected_latency(self, benchmark, structural_rows):
+    def test_table1_transaction_expected_latency(self, structural_rows):
         """Row 4: expected confirmation for randomly-timed submissions."""
 
-        measurement = benchmark.pedantic(
-            measure_transaction_expected_latency,
-            kwargs={"n": 10, "f": 4, "num_views": 20, "delta": 2, "seeds": (0, 1)},
-            rounds=1,
+        measurement = measure_transaction_expected_latency(
+            n=10, f=4, num_views=20, delta=2, seeds=(0, 1)
         )
         print("\nRow 4 — transaction expected latency (Δ):")
         rows = {"tobsvd": measurement.mean_deltas}
@@ -150,13 +145,10 @@ class TestTable1:
         # TOB-SVD is within one view length of the paper value (q differs).
         assert rows["tobsvd"] == pytest.approx(12.0, abs=4.0)
 
-    def test_table1_voting_phases_best(self, benchmark, structural_rows):
+    def test_table1_voting_phases_best(self, structural_rows):
         """Row 5: voting phases per new block, best case."""
 
-        phases = benchmark.pedantic(
-            measure_voting_phases, kwargs={"n": 10, "f": 0, "num_views": 12, "delta": 2},
-            rounds=1,
-        )
+        phases = measure_voting_phases(n=10, f=0, num_views=12, delta=2)
         assert phases == pytest.approx(1.0)
         print("\nRow 5 — voting phases per block (best case):")
         rows = {"tobsvd": phases}
@@ -168,13 +160,10 @@ class TestTable1:
             )
             assert rows[name] == pytest.approx(PAPER_TABLE1[name]["phases_best"])
 
-    def test_table1_voting_phases_expected(self, benchmark, structural_rows):
+    def test_table1_voting_phases_expected(self, structural_rows):
         """Row 6: voting phases per new block in the adversarial case."""
 
-        phases = benchmark.pedantic(
-            measure_voting_phases, kwargs={"n": 10, "f": 4, "num_views": 20, "delta": 2},
-            rounds=1,
-        )
+        phases = measure_voting_phases(n=10, f=4, num_views=20, delta=2)
         print("\nRow 6 — voting phases per block (expected), normalised to p = 1/2:")
         measured = {"tobsvd": phases}
         measured.update({n: structural_rows[n].phases_expected for n in BASELINES})
@@ -190,7 +179,7 @@ class TestTable1:
         assert measured["tobsvd"] < measured["mmr2"]
         assert measured["mmr2"] <= measured["mr"]
 
-    def test_table1_communication_complexity(self, benchmark):
+    def test_table1_communication_complexity(self):
         """Row 7: message-count growth exponent, O(Ln^3) vs O(Ln^2)."""
 
         def run():
@@ -200,7 +189,7 @@ class TestTable1:
             flat_exponent = fit_exponent([p[0] for p in flat], [p[1] for p in flat])
             return exponent, flat_exponent
 
-        exponent, flat_exponent = benchmark.pedantic(run, rounds=1)
+        exponent, flat_exponent = run()
         print("\nRow 7 — communication complexity:")
         print(f"  TOB-SVD  paper=O(Ln^3)  fitted n-exponent={exponent:.2f} "
               f"-> {classify_complexity(exponent)}")
@@ -209,7 +198,7 @@ class TestTable1:
         assert classify_complexity(exponent) == "O(Ln^3)"
         assert classify_complexity(flat_exponent) == "O(Ln^2)"
 
-    def test_table1_full_render(self, benchmark, structural_rows):
+    def test_table1_full_render(self, structural_rows):
         """The complete table, paper vs model vs measured, as the paper prints it."""
 
         def build():
@@ -226,7 +215,7 @@ class TestTable1:
             measured["tobsvd"] = {"best_case": 6.0, "phases_best": 1.0}
             return build_table1(measured=measured)
 
-        report = benchmark(build)
+        report = build()
         text = render_table1(report)
         print("\n" + text)
         for metric in ("best_case", "expected", "phases_best", "phases_expected"):

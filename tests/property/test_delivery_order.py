@@ -12,7 +12,7 @@ protocols rely on:
   requiring identical per-recipient sequences;
 * sleep-buffered envelopes are flushed in original delivery order,
   before any same-tick delivery or timer (CONTROL priority);
-* the mask recipient plans (``seen`` / asleep / always-visit masks, the
+* the mask recipient plans (holder table / asleep / always-visit masks, the
   fault plan's kept / ``dup`` / spiked masks over a uniform, a split and
   an RNG-consuming base delay) are observably identical to a naive
   per-recipient reference (:mod:`tests.naive_network`): receive
@@ -218,8 +218,6 @@ class Observer:
     ``naps`` marks a plain recording node that may be put to sleep by a
     direct attribute poke — allowed for always-visited nodes.
     """
-
-    dedup_tokens = None
 
     def __init__(self, validator_id, naps):
         self.validator_id = validator_id

@@ -203,24 +203,28 @@ class TestNetwork:
 class DedupNode(BaseValidator):
     """A dedup-capable validator that records what it handles.
 
-    Its dedup set counts membership probes, so a test can tell a network
-    visit (one probe) from a skip on the ``seen`` mask (none).
+    It counts the network's post-dedup visits (``receive_new``), so a
+    test can tell a delivery from a skip on the holder table.
     """
-
-    class ProbeCountingSet(set):
-        probes = 0
-
-        def __contains__(self, token):
-            self.probes += 1
-            return super().__contains__(token)
 
     def __init__(self, vid, registry, sim, network):
         super().__init__(vid, registry.key_for(vid), sim, network, None)
-        self.dedup_tokens = self._seen_envelopes = self.ProbeCountingSet()
         self.handled = []
+        self.visits = 0
+
+    def receive_new(self, envelope, time):
+        self.visits += 1
+        super().receive_new(envelope, time)
 
     def handle_envelope(self, envelope, time):
         self.handled.append(envelope)
+
+
+def holds(network, node, envelope):
+    """Whether the network's holder table has ``node``'s bit for ``envelope``."""
+
+    token = network.run_context.envelope_token(envelope)
+    return bool(network._holders.get(token, 0) & network._bit[node.validator_id])
 
 
 def build_dedup_network(n=4, spare=1, **kwargs):
@@ -366,13 +370,12 @@ class TestMaskPlans:
         network.send_direct(env, recipient=1, delay=0)
         sim.run_until(0)
         assert nodes[1].handled == [env]
-        probes = nodes[1].dedup_tokens.probes
-        network.forward(2, env)  # the network has not seen node 1 hold it
-        sim.run_until(DELTA)
-        assert nodes[1].dedup_tokens.probes == probes + 1
-        network.forward(3, env)  # now it has: counted, not visited
-        sim.run_until(2 * DELTA)
-        assert nodes[1].dedup_tokens.probes == probes + 1
+        assert holds(network, nodes[1], env)  # receive set the bit itself
+        assert nodes[1].visits == 0
+        for forwarder in (2, 3):
+            network.forward(forwarder, env)  # counted, not visited
+            sim.run_until(sim.now + DELTA)
+            assert nodes[1].visits == 0
         assert nodes[1].handled == [env]
         assert network.stats.deliveries == 1 + 2 + 2
 
@@ -382,21 +385,24 @@ class TestMaskPlans:
         env = signed(registry, 0, LogMessage(("k", 0), chain_of(1)))
         network.broadcast(env)
         sim.run_until(DELTA)
+        assert not holds(network, nodes[1], env)  # buffered, not held
         network.set_awake(1, True)
         assert network.flush_pending(1) == 1
-        probes = nodes[1].dedup_tokens.probes
-        for forwarder, expected in ((2, probes + 1), (3, probes + 1)):
+        assert holds(network, nodes[1], env)
+        for forwarder in (2, 3):
             network.forward(forwarder, env)
             sim.run_until(sim.now + DELTA)
-            assert nodes[1].dedup_tokens.probes == expected
+            assert nodes[1].visits == 0
         assert nodes[1].handled == [env]
+        assert [node.visits for node in nodes] == [0, 0, 1, 1]
 
     def test_sleep_after_the_seen_bit_is_set_still_buffers(self):
         sim, registry, network, nodes = build_dedup_network()
         env = signed(registry, 0, LogMessage(("k", 0), chain_of(1)))
         network.broadcast(env)
         sim.run_until(DELTA)
-        assert nodes[1].handled == [env]  # the network saw node 1 take it
+        assert nodes[1].handled == [env]
+        assert nodes[1].visits == 1 and holds(network, nodes[1], env)
         network.set_awake(1, False)
         network.forward(2, env)
         sim.run_until(2 * DELTA)
@@ -406,6 +412,7 @@ class TestMaskPlans:
         assert network.flush_pending(1) == 1
         assert network.stats.deliveries == 6
         assert nodes[1].handled == [env]
+        assert nodes[1].visits == 1
 
     def test_copy_dropped_while_asleep_does_not_mark_the_node_seen(self):
         sim, registry, network, nodes = build_dedup_network(

@@ -128,6 +128,17 @@ def test_v2_blobs_are_rejected_not_thawed():
             Snapshot.from_bytes(blob.replace(current, b'"version":%d' % stale))
 
 
+def test_v7_blobs_are_refused():
+    # A v7 payload pickles an empty network dedup table beside per-validator
+    # dedup sets; this build dedups only against the network's holder
+    # table, so a thawed v7 run would re-handle every envelope it held.
+    blob = warm_snapshot(build(n=4), "key", 3).to_bytes()
+    assert SNAPSHOT_VERSION == 8
+    stale = blob.replace(b'"version":8', b'"version":7')
+    with pytest.raises(SnapshotError, match="unsupported snapshot version 7"):
+        Snapshot.from_bytes(stale)
+
+
 # -- fork soundness ----------------------------------------------------------
 
 
@@ -211,9 +222,10 @@ def _pending_batch_deliveries(protocol):
 def test_mid_storm_capture_forks_to_the_genesis_run():
     # Captured in the middle of an echo storm: forward batches (mask
     # plans) are in the calendar and validator 4 is asleep with a
-    # non-empty buffer.  The network's seen table is left out of the blob,
-    # so the fork must rebuild its knowledge by visiting — and still end
-    # on exactly the genesis run's decisions, counters and event count.
+    # non-empty buffer.  The network's holder table (the run's only dedup
+    # record) travels in the blob, shared with the thawed validators, and
+    # the fork must end on exactly the genesis run's decisions, counters
+    # and event count.
     from repro.core.tobsvd import TobSvdConfig, TobSvdProtocol
     from repro.node.deploy import canonical_decision_bytes
     from repro.node.runtime import decisions_as_records
@@ -251,11 +263,14 @@ def test_mid_storm_capture_forks_to_the_genesis_run():
     live.advance(live.config.time.view_start(5) + 2 * live.config.delta)
     assert len(_pending_batch_deliveries(live)) >= live.config.n
     assert live.network.pending_count(4) > 0
-    assert live.network._seen
+    assert live.network._holders
     snap = capture(live, "storm", 5)
 
     thawed = snap.thaw()
-    assert thawed.network._seen == {}
+    assert thawed.network._holders == live.network._holders
+    assert thawed.network._holders is not live.network._holders
+    for validator in thawed.validators.values():
+        assert validator._holders is thawed.network._holders
     assert thawed.network.pending_count(4) == live.network.pending_count(4)
     thawed.network.check_awake_mask()  # the asleep mask travelled with the flag
 
