@@ -32,7 +32,7 @@ from repro.adversary.base import ByzantineValidator
 from repro.baselines.structure import ProtocolStructure
 from repro.chain.log import Log
 from repro.chain.transactions import Transaction, TransactionPool
-from repro.core.proposals import ProposalBook
+from repro.core.proposals import ProposalBook, RetiredProposalBook
 from repro.core.validator import BaseValidator
 from repro.core.world import World
 from repro.crypto.signatures import KeyRegistry, SigningKey
@@ -96,6 +96,8 @@ class StructuralTobValidator(BaseValidator):
         self._config = context.config
         self.head: Log = Log.genesis()
         self._books: dict[int, ProposalBook] = {}
+        self._retired_below = 0  # books below it are tombstones only
+        self._retired_books: dict[int, RetiredProposalBook] = {}
         # (view, phase) -> {sender: log}; first vote per sender per phase.
         self._votes: dict[tuple[int, int], dict[int, Log]] = {}
         self._vote_forward_counts: dict[tuple[int, int, int], int] = {}
@@ -115,6 +117,17 @@ class StructuralTobValidator(BaseValidator):
             book = ProposalBook(view, self._context.vrf)
             self._books[view] = book
         return book
+
+    def _retire_views_below(self, floor: int) -> None:
+        """Swap every live book below ``floor`` for its tombstone and move
+        the run's VRF floor (a cursor: a validator that slept through
+        several decides catches up)."""
+
+        for view in range(self._retired_below, floor):
+            book = self._books.pop(view, None) or ProposalBook(view, self._context.vrf)
+            self._retired_books[view] = book.retire()
+        self._retired_below = max(self._retired_below, floor)
+        self._context.vrf.retire_below(floor)
 
     def _leader_log(self, view: int) -> Log | None:
         """The highest-VRF non-equivocating proposal extending our head."""
@@ -183,6 +196,10 @@ class StructuralTobValidator(BaseValidator):
         )
 
     def _decide(self, view: int) -> None:
+        # Every proposal-reading phase of an earlier view ran before this
+        # timer (decisions land within their view); late proposals for
+        # those views meet a tombstone.
+        self._retire_views_below(view)
         final_phase = self._structure.phases_success_view
         votes = self._phase_votes(view, final_phase)
         total = len(votes)
@@ -238,7 +255,9 @@ class StructuralTobValidator(BaseValidator):
         if isinstance(payload, ProposalMessage):
             if not 0 <= payload.view < self._config.num_views:
                 return
-            if self._book(payload.view).handle(envelope) and self._structure.forwards_messages:
+            view = payload.view
+            book = self._books.get(view) or self._retired_books.get(view) or self._book(view)
+            if book.handle(envelope) and self._structure.forwards_messages:
                 self.forward(envelope)
         elif isinstance(payload, StructuralVote):
             if payload.protocol != self._structure.name:

@@ -41,12 +41,13 @@ def _canonical(obj: Any) -> bytes:
 
 
 def _flat_tuple_bytes(obj: tuple) -> bytes | None:
-    """Canonical bytes for a flat tuple of str/int items, or None.
+    """Canonical bytes for a tuple of str/int/tuple items, or None.
 
     Single-pass encoder for the overwhelmingly common shape of hashed
-    content (signature tags, message digests, block/log ids).  Produces
+    content (signature tags, message digests such as ``("LOG", ga_key,
+    log_id)``, block/log ids), recursing into nested tuples.  Produces
     byte-identical output to :func:`_canonical`; anything else — bools,
-    floats, nesting — falls back to the general encoder.
+    floats, None, lists, bytes — falls back to the general encoder.
     """
 
     parts = [b"T%d(" % len(obj)]
@@ -58,6 +59,11 @@ def _flat_tuple_bytes(obj: tuple) -> bytes | None:
             append(b"S%d:%s" % (len(data), data))
         elif kind is int:  # bool is excluded: type(True) is bool, not int
             append(b"I%d" % item)
+        elif kind is tuple:
+            data = _flat_tuple_bytes(item)
+            if data is None:
+                return None
+            append(data)
         else:
             return None
     append(b")")
@@ -78,10 +84,9 @@ def block_digest(parent_id: Any, tx_ids: list, proposer: Any, view: Any) -> str:
     """``stable_digest(("block", parent_id, tuple(tx_ids), proposer, view))``.
 
     One formatting pass for the only shape real blocks have — a ``str``
-    parent and ``int`` everything else — because the nested id tuple
-    keeps the generic call off :func:`_flat_tuple_bytes` and on the
-    recursive encoder.  Any other field type (``bool`` included) takes
-    the generic call, so the digest is byte-identical in every case.
+    parent and ``int`` everything else — with no tuple built and no
+    per-item type dispatch.  Any other field type (``bool`` included)
+    takes the generic call, so the digest is byte-identical in every case.
     """
 
     count = len(tx_ids)

@@ -18,11 +18,14 @@ Two properties carry the determinism guarantee:
   of ``(kind, sender, recipient, payload digest, send time)`` mapped to
   ``[0, 1)``.  Decisions are therefore *order-independent*, so the
   network asks for them a fan-out at a time: :meth:`FaultPlan.decide`
-  answers one send with ``(kept, dup, spiked)`` recipient masks, and the
-  per-link ``cut`` / ``copies`` / ``spike`` stay as the definition it is
-  tested against.  Both draw from hashers primed once per ``(kind,
-  sender)`` with the key block and the preimage's prefix — the stream is
-  the one a fresh keyed hasher per draw gives.
+  answers one send with ``(kept, dup, spiked)`` recipient masks.  The
+  per-link ``cut`` / ``copies`` / ``spike`` are the float definition it
+  is tested against (``int(digest) / 2**64 < rate``); ``decide`` compares
+  the raw 8-byte digest with a per-kind byte limit (:func:`_draw_limit`)
+  that gives the same answer for every digest, so a draw costs little
+  more than its ``blake2b`` finalisation.  Both draw from hashers primed
+  once per ``(kind, sender)`` with the key block and the preimage's
+  prefix — the stream is the one a fresh keyed hasher per draw gives.
 
 Partition semantics are **regional outages**: the isolated minority is
 also crashed (asleep) for the window, because a symmetric partition with
@@ -284,6 +287,30 @@ _KINDS = ("drop", "dup", "spike")
 _DROP, _DUP, _SPIKE = range(3)
 
 
+def _draw_limit(rate: float) -> bytes | None:
+    """The byte limit of a draw at ``rate``: for every 8-byte big-endian
+    ``digest``, ``digest < limit`` iff ``int(digest) / 2**64 < rate``.
+
+    The float test is monotone in the integer, so its hits are a prefix
+    ``[0, L)`` of the 64-bit range; ``L`` is the smallest ``x`` with
+    ``x / 2**64 >= rate`` under float rounding, found exactly by
+    bisection.  ``None`` at rate zero (no draw is made).  Every rate a
+    :class:`FaultSpec` admits has ``L < 2**64``: at rate 1 the quotient
+    rounds up to 1.0 from ``x = 2**64 - 1024`` on.
+    """
+
+    if not rate:
+        return None
+    lo, hi = 0, 1 << 64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / _U64 >= rate:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo.to_bytes(8, "big")
+
+
 class FaultPlan:
     """A compiled, immutable fault schedule plus stateless message faults.
 
@@ -294,7 +321,8 @@ class FaultPlan:
 
     __slots__ = (
         "spec", "n", "delta", "horizon", "crash_windows", "partition_windows",
-        "_key", "_rates", "spike_ticks", "_cuts", "_primed", "_orders",
+        "_key", "_rates", "_limits", "spike_ticks", "_cuts", "_primed", "_orders",
+        "_drawn", "_drawn_at",
     )
 
     def __init__(
@@ -320,6 +348,7 @@ class FaultPlan:
         # By kind; a spike of zero ticks is no fault, so it is never drawn.
         spike_rate = spec.delay_spike_rate if spike_ticks else 0.0
         self._rates = (spec.drop_rate, spec.duplicate_rate, spike_rate)
+        self._limits = tuple(map(_draw_limit, self._rates))
         # One isolated-set mask per partition window, bit ``vid`` per member.
         self._cuts = tuple(
             (w.start, w.heal, sum(1 << vid for vid in w.isolated))
@@ -327,9 +356,16 @@ class FaultPlan:
         )
         # Derived lazily, never pickled (``hashlib`` objects cannot be): the
         # primed hashers per sender, what :meth:`decide` walks per recipient
-        # order.  Neither changes what the plan decides.
+        # order, and the current tick's draws.  None changes what the plan
+        # decides.
         self._primed: dict[int, tuple] = {}
         self._orders: dict[tuple[int, ...], tuple] = {}
+        # The draws of the current tick's fan-outs, by ``(origin, digest|time,
+        # ids)``: ``(recipients drawn, dropped, dup, spiked)`` masks.  Two
+        # envelopes with one payload (equal LOG messages of two signers)
+        # forwarded by one validator in one tick repeat every draw.
+        self._drawn: dict[tuple, tuple[int, int, int, int]] = {}
+        self._drawn_at: int | None = None
 
     def __reduce__(self):
         return FaultPlan, (self.spec, self.n, self.delta, self.horizon,
@@ -450,7 +486,10 @@ class FaultPlan:
         cut and dropped recipients, ``dup`` the kept ones that get a second
         copy, ``spiked`` the kept ones delivered :attr:`spike_ticks` late —
         bit for bit what :meth:`copies` and, for kept recipients,
-        :meth:`spike` answer per link.
+        :meth:`spike` answer per link.  Each draw compares the raw digest
+        with the kind's byte limit instead of mapping it to a float, and a
+        draw asked for again within one tick (same origin, payload digest
+        and recipient) is read from the tick's memo, not made twice.
         """
 
         pairs, cuts = self._orders.get(ids) or self._order(ids)
@@ -458,34 +497,40 @@ class FaultPlan:
         for start, heal, isolated, mask in cuts:
             if start <= time < heal:
                 kept &= mask if isolated >> origin & 1 else ~mask
-        drop_rate, dup_rate, spike_rate = self._rates
-        if not (drop_rate or dup_rate or spike_rate):
+        drop_limit, dup_limit, spike_limit = self._limits
+        if drop_limit is dup_limit is spike_limit is None:
             return kept, 0, 0
         drop_hash, dup_hash, spike_hash = self._primed.get(origin) or self._prime(origin)
         rest = f"{envelope.payload.digest()}|{time}".encode()
-        to_int = int.from_bytes
-        dup = spiked = 0
+        if time != self._drawn_at:
+            self._drawn.clear()
+            self._drawn_at = time
+        key = (origin, rest, ids)
+        known, dropped, dup, spiked = self._drawn.get(key) or (0, 0, 0, 0)
+        todo = kept & ~known
         for bit, field in pairs:
-            if not kept & bit:
+            if not todo & bit:
                 continue
             data = field + rest
             if drop_hash is not None:
                 hasher = drop_hash.copy()
                 hasher.update(data)
-                if to_int(hasher.digest(), "big") / _U64 < drop_rate:
-                    kept ^= bit
+                if hasher.digest() < drop_limit:
+                    dropped |= bit
                     continue
             if dup_hash is not None:
                 hasher = dup_hash.copy()
                 hasher.update(data)
-                if to_int(hasher.digest(), "big") / _U64 < dup_rate:
+                if hasher.digest() < dup_limit:
                     dup |= bit
             if spike_hash is not None:
                 hasher = spike_hash.copy()
                 hasher.update(data)
-                if to_int(hasher.digest(), "big") / _U64 < spike_rate:
+                if hasher.digest() < spike_limit:
                     spiked |= bit
-        return kept, dup, spiked
+        self._drawn[key] = (known | todo, dropped, dup, spiked)
+        kept &= ~dropped
+        return kept, dup & kept, spiked & kept
 
     def describe(self) -> dict:
         """JSON-able summary (CLI reporting)."""

@@ -374,9 +374,13 @@ class Network:
             late = spiked and faults.spike_ticks
         base = self._base_delay
         if base is not None:
-            batches = [(base, kept & ~spiked), (base + late, spiked)]
-            if spiked & kept & -kept:  # first-seen delay first
-                batches.reverse()
+            # ``spiked`` is a subset of ``kept``; first-seen delay first.
+            if not spiked:
+                batches = ((base, kept),)
+            elif spiked & -kept:
+                batches = ((base + late, spiked), (base, kept ^ spiked))
+            else:
+                batches = ((base, kept ^ spiked), (base + late, spiked))
         else:
             groups: dict[int, int] = {}
             policy_delay = self._policy.delay

@@ -4,9 +4,16 @@ import pytest
 
 from repro.analysis.metrics import check_safety, count_new_blocks, voting_phases_per_block
 from repro.baselines import StructuralTob
-from repro.baselines.structural_tob import StructuralConfig
+from repro.baselines.structural_tob import (
+    StructuralConfig,
+    StructuralEquivocator,
+    StructuralTobValidator,
+)
 from repro.baselines.structure import TABLE1_ORDER, structure_for
-from repro.chain.transactions import TransactionPool
+from repro.chain.log import Log
+from repro.chain.transactions import Transaction, TransactionPool
+from repro.core.proposals import ProposalBook, RetiredProposalBook
+from repro.net.messages import ProposalMessage
 from repro.net.network import AwakeMaskError
 from repro.sleepy.corruption import CorruptionPlan
 
@@ -78,6 +85,79 @@ class TestAdversarialRuns:
                 if e.view == view and e.protocol == "mmr2"
             }
             assert len(phases) == structure.phases_failure_view
+
+
+class LateProposer(StructuralEquivocator):
+    """Proposes nothing on time; at every view start it proposes, fresh, for
+    each of the views three to five back instead — so each view meets a
+    first proposal (to accept), a second (an equivocation) and a third (to
+    ignore) from it, after honest validators retired the view."""
+
+    def _attack(self, view: int) -> None:
+        for old in range(max(0, view - 5), view - 2):
+            log = Log.genesis().append_block(
+                [Transaction(tx_id=-100 * view - 10 * old - self.validator_id, payload="late")],
+                proposer=self.validator_id,
+                view=old,
+            )
+            vrf = self._context.vrf.evaluate(self.validator_id, old)
+            self.broadcast(ProposalMessage(view=old, log=log, vrf=vrf))
+
+
+def equivocated_run(name: str, num_views: int, n: int = 8, factory=None):
+    """An ``n``-validator run with two Byzantine proposers."""
+
+    return StructuralTob(
+        structure_for(name),
+        StructuralConfig(n=n, num_views=num_views, delta=2, seed=0),
+        corruption=CorruptionPlan.static(frozenset({n - 2, n - 1})),
+        byzantine_factory=factory,
+        trace_mode="bounded",
+    )
+
+
+class TestViewRetirement:
+    """Each decide retires the books of earlier views to tombstones and moves
+    the run's VRF floor, so neither grows with the horizon (before, an n=8
+    ``mmr2`` run kept 64 / 256 books and memo views at 64 / 256 views)."""
+
+    @pytest.mark.parametrize("num_views", [64, 256])
+    def test_live_books_and_memo_views_stay_bounded(self, num_views):
+        tob = equivocated_run("mmr2", num_views)
+        result = tob.run()
+        honest = [v for v in result.validators.values() if isinstance(v, StructuralTobValidator)]
+        assert len(honest) == 6
+        for validator in honest:
+            assert len(validator._books) <= 2
+            assert all(isinstance(book, ProposalBook) for book in validator._books.values())
+            assert set(validator._retired_books) == set(range(validator._retired_below))
+            assert validator._retired_below >= num_views - 2
+        assert len(tob.context.vrf._memo) <= 2
+
+    @pytest.mark.parametrize("name", ["mmr2", "gl", "mmr13"])
+    def test_retiring_moves_no_decision_and_no_delivery(self, name, monkeypatch):
+        def outcome(tob):
+            result = tob.run()
+            stats = result.network.stats
+            return (
+                sorted(result.analysis.decided_views),
+                {vid: v.head.log_id for vid, v in result.validators.items() if hasattr(v, "head")},
+                result.simulator.events_processed,
+                (stats.deliveries, stats.weighted_deliveries),
+            )
+
+        handled = {"late": 0}
+        handle = RetiredProposalBook.handle
+
+        def counted(book, envelope):
+            handled["late"] += 1
+            return handle(book, envelope)
+
+        monkeypatch.setattr(RetiredProposalBook, "handle", counted)
+        retiring = outcome(equivocated_run(name, 24, factory=LateProposer))
+        assert handled["late"] > 100  # the tombstones answered late proposals
+        monkeypatch.setattr(StructuralTobValidator, "_retire_views_below", lambda self, floor: None)
+        assert outcome(equivocated_run(name, 24, factory=LateProposer)) == retiring
 
 
 class TestGuards:

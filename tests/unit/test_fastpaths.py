@@ -36,6 +36,7 @@ class TestHashingFastPath:
             ("env", "d" * 64, 3),
             (0, -17, 2**80, "mixed", ""),
             ("unicode", "héllo wörld"),
+            ("LOG", ("k", 0), "d" * 64),  # nested tuples take the fast path too
         ],
     )
     def test_flat_tuple_bytes_matches_canonical(self, obj):
@@ -46,7 +47,7 @@ class TestHashingFastPath:
         [
             ("bool", True),  # bools canonicalise as B1/B0, not I1/I0
             ("float", 1.5),
-            ("nested", ("a", "b")),
+            ("nested", ("a", True)),  # any leaf but str/int/tuple, at any depth
             ("none", None),
             ("bytes", b"raw"),
         ],

@@ -18,6 +18,7 @@ import types
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.faults
 from repro.faults import (
@@ -26,6 +27,7 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
     PartitionWindow,
+    _draw_limit,
     crashed_schedule,
     retry_backoff,
 )
@@ -385,6 +387,101 @@ class TestPlanPickling:
         assert stream_hash(thawed, per_link_triples) == expected
 
 
+#: The smallest positive float, the rig's rates, and the edges of ``(0, 1]``.
+LIMIT_RATES = (5e-324, 0.02, 0.05, 0.3, 0.5, 1 - 2**-53, 1.0)
+
+
+class TestDrawLimits:
+    """:meth:`FaultPlan.decide` compares raw digests with byte limits; the
+    per-link draws compare ``int(digest) / 2**64`` with the rate.  The two
+    must agree on every digest, the float-rounding boundary included."""
+
+    @staticmethod
+    def agree(x: int, rate: float) -> bool:
+        return (x.to_bytes(8, "big") < _draw_limit(rate)) == (x / 2**64 < rate)
+
+    @pytest.mark.parametrize("rate", LIMIT_RATES)
+    def test_limit_sits_on_the_float_boundary(self, rate):
+        limit = int.from_bytes(_draw_limit(rate), "big")
+        assert 0 < limit < 2**64
+        for x in (0, limit - 1, limit, limit + 1, 2**64 - 1):
+            assert self.agree(x, rate), (rate, x)
+        assert (limit - 1) / 2**64 < rate <= limit / 2**64
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        x=st.integers(0, 2**64 - 1),
+        rate=st.sampled_from(LIMIT_RATES) | st.floats(0.0, 1.0),
+    )
+    def test_any_digest_agrees_with_the_float_compare(self, x, rate):
+        if not rate:
+            assert _draw_limit(rate) is None  # rate zero: no draw at all
+        else:
+            assert self.agree(x, rate)
+
+    def test_at_rate_one_the_top_digests_round_up_to_a_miss(self):
+        assert int.from_bytes(_draw_limit(1.0), "big") == 2**64 - 1024
+
+
+class _CountedHasher:
+    """A primed hasher that counts the draws made from it."""
+
+    def __init__(self, hasher, draws: list) -> None:
+        self._hasher, self._draws = hasher, draws
+
+    def copy(self):
+        self._draws[0] += 1
+        return self._hasher.copy()
+
+
+class TestRepeatedFanOuts:
+    """One validator forwarding two envelopes with one payload in one tick
+    asks for the same draws twice; ``decide`` makes each draw once."""
+
+    @staticmethod
+    def per_link(plan, origin, ids, mask, envelope, time):
+        kept = dup = spiked = 0
+        for index, vid in enumerate(ids):
+            if mask >> index & 1 and plan.copies(origin, vid, envelope, time):
+                kept |= 1 << index
+                dup |= (plan.copies(origin, vid, envelope, time) == 2) << index
+                spiked |= bool(plan.spike(origin, vid, envelope, time)) << index
+        return kept, dup, spiked
+
+    #: High rates, so a drawn recipient left out of a later ask has hits.
+    SPEC = replace(ADVERSE, drop_rate=0.3, duplicate_rate=0.5, delay_spike_rate=0.5)
+
+    def test_a_repeat_draws_only_recipients_not_drawn_before(self):
+        plan, reference = golden_plan(self.SPEC), golden_plan(self.SPEC)
+        ids, origin, envelope = tuple(range(GOLDEN_N)), 3, _FakeEnvelope("one-payload")
+        everyone = (1 << GOLDEN_N) - 1
+        draws = [0]
+        plan._primed[origin] = tuple(
+            _CountedHasher(hasher, draws) for hasher in plan._prime(origin)
+        )
+        made = []
+        for mask, time in [
+            (everyone & ~0b110000, 40),  # first ask at tick 40
+            (everyone & ~0b100000, 40),  # same tick, one recipient more
+            (everyone & ~0b100011, 40),  # same tick, drawn recipients only
+            (everyone, 41),  # a new tick draws afresh
+        ]:
+            before = draws[0]
+            got = plan.decide(origin, ids, mask, envelope, time)
+            assert got == self.per_link(reference, origin, ids, mask, envelope, time)
+            made.append(draws[0] - before)
+        assert made[0] >= 14 and made[3] >= 16  # one drop draw per recipient
+        assert 1 <= made[1] <= 3 and made[2] == 0
+
+    def test_another_recipient_order_does_not_reuse_masks(self):
+        plan, reference = golden_plan(self.SPEC), golden_plan(self.SPEC)
+        envelope = _FakeEnvelope("one-payload")
+        for ids in (tuple(range(GOLDEN_N)), tuple(reversed(range(GOLDEN_N)))):
+            mask = (1 << GOLDEN_N) - 1
+            got = plan.decide(2, ids, mask, envelope, 40)
+            assert got == self.per_link(reference, 2, ids, mask, envelope, 40)
+
+
 class TestFaultWork:
     """The fault path's work is counted, so CI can hold it without a clock.
 
@@ -434,6 +531,11 @@ class TestFaultWork:
         assert calls["fan_outs"] > 1000 and injected > 1000  # the faulty path ran
         assert calls["faults"] / calls["fan_outs"] <= 2, calls
         assert 0 < constructions[0] <= 3 * n * n + 3, constructions
+        # The repeated-draw memo holds the last tick's fan-outs only.
+        assert plan._drawn
+        assert {rest.rsplit(b"|", 1)[1] for _, rest, _ in plan._drawn} == {
+            b"%d" % plan._drawn_at
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hashing import (
     _canonical,
+    _flat_tuple_bytes,
     block_digest,
     digest_to_unit_float,
     stable_digest,
@@ -57,6 +58,52 @@ class TestStableDigest:
         digest = stable_digest("anything")
         assert len(digest) == 64
         int(digest, 16)  # parses as hex
+
+
+#: Leaves the tuple fast path encodes (str, int) and the ones it hands back
+#: to the generic encoder (bool, float, None, list).
+_LEAVES = (
+    st.text(max_size=4)
+    | st.integers(-(10**30), 10**30)
+    | st.booleans()
+    | st.floats(allow_nan=False)
+    | st.none()
+    | st.lists(st.integers() | st.text(max_size=2), max_size=3)
+)
+
+
+class TestTupleFastPath:
+    """``stable_digest`` of a tuple is the generic encoder's digest, whether
+    the single-pass tuple encoder takes it or falls back."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        obj=st.recursive(
+            st.tuples(_LEAVES) | st.tuples(),
+            lambda inner: st.lists(inner | _LEAVES, max_size=4).map(tuple),
+            max_leaves=12,
+        )
+    )
+    def test_matches_the_generic_encoder_on_nested_tuples(self, obj):
+        try:
+            want = hashlib.sha256(_canonical(obj)).hexdigest()
+        except UnicodeEncodeError:  # lone surrogate: neither encoder accepts it
+            with pytest.raises(UnicodeEncodeError):
+                stable_digest(obj)
+            return
+        assert stable_digest(obj) == want
+
+    def test_message_digests_take_the_fast_path(self):
+        obj = ("LOG", ("ga", 3, ("sub", -1)), "ab" * 32)
+        assert _flat_tuple_bytes(obj) == _canonical(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [("a", (1, True)), ((None,),), ("a", ((2.5,),)), ((), [1]), ((b"y",),)],
+    )
+    def test_any_other_leaf_in_a_nested_tuple_falls_back(self, obj):
+        assert _flat_tuple_bytes(obj) is None
+        assert stable_digest(obj) == hashlib.sha256(_canonical(obj)).hexdigest()
 
 
 class TestDigestToUnitFloat:
